@@ -10,6 +10,7 @@ enters the body (timings go to stderr).  Exit codes: 0 ok, 1 usage,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -285,7 +286,10 @@ def _add_common(p):
     p.add_argument("--config", default=None)
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built once per process and shared by every
+    main() call; callers must not modify it."""
     parser = _Parser(prog="rtlab", description=__doc__)
     parser.add_argument("--version", action="version", version=f"rtlab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -2,11 +2,31 @@
 
 Every ordering decision in this package reduces to comparing two values of
 the form prod(b_i ** e_i) with integer bases b_i >= 1 and rational
-exponents e_i.  Clearing the exponent denominators turns such a comparison
-into one between two big integers, which Python evaluates exactly.  Floats
-appear in exactly two supporting roles: a conservative screen that settles
-comparisons whose logarithmic gap is far wider than float error, and a
-seed for the integer floor search.  The big-integer path is the authority.
+exponents e_i, that is, to the sign of the quotient's logarithm
+sum(e_i * ln b_i).  Three steps decide it, and none of them builds a big
+integer:
+
+1. A conservative float screen settles comparisons whose logarithmic gap is
+   far wider than float error.
+2. EQUAL is decided from exponents.  The quotient's bases are rewritten over
+   a pairwise-coprime base by gcd factor refinement (Bach, Driscoll and
+   Shallit, J. Algorithms 1993); over such a base the value is 1 exactly
+   when every exponent is 0.  Once each coprime base that is a perfect power
+   is replaced by its root, the value is an integer exactly when every
+   exponent is a non-negative integer.  Nothing is factored, so a huge base
+   costs about as much as a small one.
+3. A strict order comes from a rigorous interval on the logarithm, computed
+   with the standard decimal module (its ln is correctly rounded) plus a
+   proven error bound.  The precision doubles until the interval excludes 0,
+   which must happen because step 2 has ruled out equality.
+
+pp_floor returns an exact integer from step 2.  Otherwise it takes its
+candidate N from the logarithm at about log10(x) + 40 digits and accepts N
+once the intervals show ln N < ln x < ln(N + 1).
+
+The bit budget caps the working precision of step 3 and of pp_floor, and
+the size of an exact integer that pp_floor returns.  Exceeding it raises
+ResourceLimitError.
 
 Rationals are plain fractions.Fraction values (already reduced, positive
 denominator); the alias Rational below is the name the rest of the package
@@ -15,6 +35,7 @@ uses.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -22,8 +43,12 @@ from .errors import ContractViolationError, ResourceLimitError
 
 Rational = Fraction
 
-#: Default ceiling, in bits, for any big integer produced while comparing.
+#: Default ceiling, in bits, on the working precision of a comparison or a
+#: floor, and on the size of an exact integer that a floor returns.
 DEFAULT_BIT_BUDGET = 1_000_000
+
+#: Decimal digits of the first interval evaluation; each retry doubles them.
+_START_DIGITS = 40
 
 LESS, EQUAL, GREATER = -1, 0, 1
 
@@ -170,25 +195,153 @@ class PowerProduct:
         except OverflowError:
             pass
 
-        # Authority: clear denominators and compare big integers.
-        lden = 1
-        for _, e in diff:
-            lden = math.lcm(lden, e.denominator)
-        bits = 0
-        for b, e in diff:
-            bits += abs(int(e * lden)) * b.bit_length()
+        if not _coprime_base(diff)[0]:
+            return EQUAL
+        from decimal import localcontext
+
         budget = DEFAULT_BIT_BUDGET if bit_budget is None else bit_budget
-        if bits > budget:
-            raise ResourceLimitError(
-                f"comparing {self} vs {other} needs about {bits} bits; budget is {budget}")
-        pos = neg = 1
-        for b, e in diff:
-            ie = int(e * lden)
-            if ie > 0:
-                pos *= b ** ie
-            else:
-                neg *= b ** (-ie)
-        return _sign(pos - neg)
+        digits = _START_DIGITS
+        while True:
+            _check_bits(_digits_to_bits(digits), budget, "comparing", self, "vs", other)
+            with localcontext(_decimal_context(digits)):
+                sign = _interval_sign(_ln_terms(diff, digits), digits)
+            if sign:
+                return sign
+            digits *= 2
+
+
+# -- exact tests over a coprime base ---------------------------------------------
+
+def _coprime_base(factors) -> tuple[dict[int, int], int]:
+    """Rewrite prod(b ** e) as prod(c ** (x / d)) over pairwise-coprime bases
+    c > 1: returns ({c: x}, d) with integers x != 0 and d > 0.
+
+    No x is 0, so the dict is empty exactly when the product equals 1
+    (distinct primes divide distinct coprime bases).  Exponents are scaled
+    to integers by the lcm d of their denominators.
+    """
+    d = math.lcm(*(e.denominator for _, e in factors))
+    work = [(b, e.numerator * (d // e.denominator)) for b, e in factors]
+    out: dict[int, int] = {}
+    while work:
+        b, e = work.pop()
+        if b == 1 or e == 0:
+            continue
+        for c in out:
+            g = math.gcd(b, c)
+            if g > 1:
+                break
+        else:
+            out[b] = e
+            continue
+        # b^e * c^f = (b/g)^e * g^(e+f) * (c/g)^f; the product of all bases
+        # still to place drops by g > 1 each time, so the loop ends.
+        f = out.pop(c)
+        work += ((b // g, e), (g, e + f), (c // g, f))
+    return out, d
+
+
+def _iroot(n: int, m: int) -> int:
+    """floor(n ** (1/m)) for n >= 1, by integer Newton steps from above."""
+    x = 1 << -(-n.bit_length() // m)
+    while True:
+        y = ((m - 1) * x + n // x ** (m - 1)) // m
+        if y >= x:
+            return x
+        x = y
+
+
+def _perfect_power(n: int) -> tuple[int, int]:
+    """(r, m) with r ** m == n and m as large as possible, for n >= 2."""
+    m, q = 1, 2
+    while 1 << q <= n:
+        r = _iroot(n, q)
+        if r ** q == n:
+            n, m = r, m * q   # a q that fails for n fails for every root of n
+        else:
+            q += 1
+    return n, m
+
+
+def _integer_exponents(x: PowerProduct) -> list[tuple[int, int]] | None:
+    """[(r, e)] with x == prod(r ** e) and integers e >= 0, or None when x
+    is not an integer.
+
+    Over pairwise-coprime bases that are not perfect powers, every prime of
+    r occurs in no other base and the gcd of its exponents in r is 1, so x
+    is an integer exactly when each exponent is a non-negative integer.
+    """
+    base, d = _coprime_base(x.factors)
+    out = []
+    for c, f in base.items():
+        r, m = _perfect_power(c)
+        e, rem = divmod(f * m, d)
+        if e < 0 or rem:
+            return None
+        out.append((r, e))
+    return out
+
+
+# -- rigorous logarithm intervals --------------------------------------------------
+
+_BITS_PER_DIGIT = math.log2(10)
+
+
+def _digits_to_bits(digits: int) -> int:
+    return math.ceil(digits * _BITS_PER_DIGIT)
+
+
+def _check_bits(bits, budget: int, *what) -> None:
+    """Raise ResourceLimitError when bits exceed the budget; what names the
+    work, and is formatted only then."""
+    if bits > budget:
+        raise ResourceLimitError(
+            f"{' '.join(map(str, what))} needs about {bits} bits; budget is {budget}")
+
+
+def _decimal_context(digits: int):
+    """A decimal context of the given precision.  Every decimal operation
+    of this module runs in one, never in the thread's default context."""
+    import decimal
+
+    return decimal.Context(prec=digits, rounding=decimal.ROUND_HALF_EVEN,
+                           Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+
+
+@functools.lru_cache(maxsize=4096)
+def _ln(b: int, digits: int):
+    """ln(b) correctly rounded to the given digits (bases recur across calls)."""
+    from decimal import Decimal
+
+    return Decimal(b).ln(_decimal_context(digits))
+
+
+def _ln_terms(factors, digits: int) -> list:
+    """e * ln(b) for each factor; runs in a local context of the given digits."""
+    return [_ln(b, digits) * e.numerator / e.denominator for b, e in factors]
+
+
+def _interval_sign(terms, digits: int) -> int:
+    """Sign of the exact sum the terms approximate, or 0 when undecided.
+
+    Each term is within 1.6 * eps of its exact value, relative, with
+    eps = 10 ** (1 - digits): ln, the multiplication and the division each
+    round by half an ulp.  Each of the n additions errs by at most
+    eps/2 * sum(|t|).  So the sum is off by at most (n + 2) * eps * sum(|t|);
+    the radius uses n + 4 to cover rounding in computing the radius itself.
+    Runs in a local context of the given digits; the final comparison is
+    exact.
+    """
+    from decimal import Decimal
+
+    mid, mag = Decimal(0), Decimal(0)
+    for t in terms:
+        mid += t
+        mag += t.copy_abs()
+    rad = (mag * (len(terms) + 4)).scaleb(1 - digits)
+    if mid.copy_abs() > rad:
+        return 1 if mid > 0 else -1
+    return 0
 
 
 def pp_compare(a: PowerProduct, b: PowerProduct, bit_budget=None) -> int:
@@ -199,29 +352,38 @@ def pp_compare(a: PowerProduct, b: PowerProduct, bit_budget=None) -> int:
 def pp_floor(x: PowerProduct, bit_budget=None) -> int:
     """Largest integer N with N <= x, for x > 0.
 
-    A float log2 estimate seeds the bracket; the bracket is then verified and
-    shrunk with exact comparisons only, so the result never depends on
-    rounding.
+    An exact integer comes from coprime-base exponents.  Otherwise a
+    high-precision logarithm proposes N, and rigorous intervals must show
+    ln N < ln x < ln(N + 1), with the precision doubled until they do; the
+    result never depends on rounding.
     """
-    if not x.factors:
-        return 1
-    lg = x.log2()
-    hi = 1 << max(1, math.ceil(lg) + 2)
-    while x.compare(PowerProduct.of_int(hi), bit_budget=bit_budget) >= 0:
-        hi <<= 1
-    lo = 0  # x > 0 always, so floor >= 0
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if x.compare(PowerProduct.of_int(mid), bit_budget=bit_budget) >= 0:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    budget = DEFAULT_BIT_BUDGET if bit_budget is None else bit_budget
+    exps = _integer_exponents(x)
+    if exps is not None:
+        _check_bits(sum(e * r.bit_length() for r, e in exps), budget, "the integer", x)
+        return math.prod(r ** e for r, e in exps)
+    from decimal import ROUND_FLOOR, Decimal, localcontext
+
+    try:
+        lg = x.log2()
+    except OverflowError:
+        lg = math.inf
+    _check_bits(lg, budget, "the floor of", x)
+    digits = _START_DIGITS + max(0, math.ceil(lg / _BITS_PER_DIGIT))
+    while True:
+        _check_bits(_digits_to_bits(digits), budget, "the floor of", x)
+        with localcontext(_decimal_context(digits)):
+            terms = _ln_terms(x.factors, digits)
+            n = int(sum(terms, Decimal(0)).exp().to_integral_value(ROUND_FLOOR))
+            if ((n == 0 or _interval_sign(terms + [-Decimal(n).ln()], digits) > 0)
+                    and _interval_sign(terms + [-Decimal(n + 1).ln()], digits) < 0):
+                return n
+        digits *= 2
 
 
-def pp_is_integer(x: PowerProduct, bit_budget=None) -> bool:
-    f = pp_floor(x, bit_budget=bit_budget)
-    return f >= 1 and x.compare(PowerProduct.of_int(f), bit_budget=bit_budget) == EQUAL
+def pp_is_integer(x: PowerProduct) -> bool:
+    """Whether the value of x is an integer, decided from exponents alone."""
+    return _integer_exponents(x) is not None
 
 
 def least_integer_greater(x: PowerProduct, bit_budget=None) -> int:

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import comb
 
 from .errors import ContractViolationError
-from .exactnum import EQUAL, PowerProduct, least_integer_greater, pp_compare, pp_floor
+from .exactnum import PowerProduct, least_integer_greater, pp_floor, pp_is_integer
 
 
 class Regime(str, Enum):
@@ -173,9 +173,7 @@ def _r1_value(k: int, s: int) -> int:
     # one less when it is an exact integer.  s = 2 gives 0 by the same rule.
     x = PowerProduct(((s - 1, Fraction(k - 1, k - 2)),))
     f = pp_floor(x)
-    if f >= 1 and pp_compare(x, PowerProduct.of_int(f)) == EQUAL:
-        return f - 1
-    return f
+    return f - 1 if pp_is_integer(x) else f
 
 
 def r1(k: int, s: int) -> int:

@@ -23,6 +23,12 @@ class TestThresholds:
         assert code == EXIT_OK
         assert "222*" in out and "5434" in out and "3528" in out
 
+    def test_table_to_k20_json(self, capsys):
+        code, out, _ = run(capsys, "thresholds", "table", "--k", "4..20", "--format", "json")
+        assert code == EXIT_OK
+        cells = json.loads(out)["result"]["cells"]
+        assert len(cells) == sum(k * (k - 1) // 2 - 1 for k in range(4, 21))
+
     def test_table_csv(self, capsys):
         code, out, _ = run(capsys, "thresholds", "table", "--k", "4..4", "--format", "csv")
         assert code == EXIT_OK
@@ -174,3 +180,21 @@ class TestConfigLayers:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         capsys.readouterr()
+
+    def test_repeated_calls_share_one_parser(self, capsys):
+        # the parser is built once per process; help, version, usage errors
+        # and parsed values must not carry over from one call to the next
+        outputs = []
+        for _ in range(2):
+            assert main(["--help"]) == 0
+            help_text = capsys.readouterr().out
+            assert main(["--version"]) == 0
+            outputs.append((help_text, capsys.readouterr().out))
+            assert main(["thresholds", "--k", "4"]) == EXIT_USAGE
+            capsys.readouterr()
+            code, out, _ = run(capsys, "thresholds", "--k", "4", "--s", "5", "--format", "json")
+            assert code == EXIT_OK and json.loads(out)["config"]["format"] == "json"
+            code, out, _ = run(capsys, "thresholds", "--k", "4", "--s", "5")
+            assert code == EXIT_OK and out.startswith("# rtlab")
+        assert outputs[0] == outputs[1]
+        assert "usage: rtlab" in outputs[0][0] and outputs[0][1].startswith("rtlab ")

@@ -1,13 +1,15 @@
 """PowerProduct arithmetic: exactness, ordering, floor, budgets."""
 
+import time
 from fractions import Fraction as Fr
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bigint_oracle import bigint_compare
 from rtlab.errors import ContractViolationError, ResourceLimitError
-from rtlab.exactnum import (EQUAL, LESS, PowerProduct, least_integer_greater,
+from rtlab.exactnum import (EQUAL, GREATER, LESS, PowerProduct, least_integer_greater,
                             ordering_name, pp_compare, pp_floor, pp_is_integer)
 
 
@@ -73,18 +75,45 @@ class TestCompare:
         assert pp((4, 1)) != pp((2, 2))
         assert pp_compare(pp((4, 1)), pp((2, 2))) == EQUAL
         assert pp_compare(pp((4, Fr(1, 2))), pp((2, 1))) == EQUAL
+        assert pp_compare(pp((12, Fr(1, 2)), (3, Fr(1, 2))), pp((6, 1))) == EQUAL
+        assert bigint_compare(pp((12, Fr(1, 2)), (3, Fr(1, 2))), pp((6, 1))) == EQUAL
 
     def test_bit_budget(self):
-        # equal values force the big-integer path; the budget must trip
+        # the big-integer oracle must trip its budget on these equal values;
+        # rtlab decides them from coprime-base exponents with no big integer
         a = pp((2, 10 ** 7))
         b = pp((4, Fr(10 ** 7, 2)))
         with pytest.raises(ResourceLimitError):
-            pp_compare(a, b)
-        assert pp_compare(a, b, bit_budget=4 * 10 ** 7) == EQUAL
+            bigint_compare(a, b)
+        assert bigint_compare(a, b, bit_budget=4 * 10 ** 7) == EQUAL
+        assert pp_compare(a, b, bit_budget=64) == EQUAL
+
+    def test_interval_bit_budget(self):
+        # 24727/15601 is a convergent of log2(3): the float screen cannot
+        # separate these, so the log interval decides under the budget
+        a, b = pp((2, 24727)), pp((3, 15601))
+        with pytest.raises(ResourceLimitError):
+            pp_compare(a, b, bit_budget=100)
+        assert pp_compare(a, b) == GREATER
+        assert bigint_compare(a, b) == GREATER
 
     def test_wide_gap_huge_values_fast(self):
         # decided by the screen; no big integers materialize
         assert pp_compare(pp((2, 10 ** 6)), pp((3, 10 ** 6))) == LESS
+
+    def test_huge_base_fast(self):
+        # no factoring: a 133-bit base is refined and compared in milliseconds
+        big = PowerProduct.of_int(10 ** 40 + 1)
+        cases = [(big ** Fr(1, 2), PowerProduct.of_int(10 ** 20), GREATER),
+                 (big ** Fr(3, 2), PowerProduct.of_int((10 ** 40 + 1) ** 3) ** Fr(1, 2), EQUAL),
+                 (big * pp((7, Fr(1, 3))), PowerProduct.of_int(10 ** 40) * pp((7, Fr(1, 3))),
+                  GREATER)]
+        t0 = time.perf_counter()
+        got = [pp_compare(a, b) for a, b, _ in cases]
+        elapsed = time.perf_counter() - t0
+        assert got == [want for _, _, want in cases]
+        assert got == [bigint_compare(a, b) for a, b, _ in cases]
+        assert elapsed < 0.1
 
 
 class TestFloor:
@@ -102,6 +131,9 @@ class TestFloor:
         assert least_integer_greater(pp((4, Fr(3, 2)))) == 9   # 4^(3/2) = 8
         assert pp_is_integer(pp((4, Fr(3, 2))))
         assert not pp_is_integer(pp((2, Fr(3, 2))))
+        assert pp_floor(pp((8, Fr(4, 3)))) == 16 and pp_is_integer(pp((8, Fr(4, 3))))
+        assert pp_floor(pp((12, Fr(1, 2)), (3, Fr(1, 2)))) == 6
+        assert not pp_is_integer(pp((12, Fr(1, 2)), (2, Fr(1, 2))))   # 24^(1/2)
 
     def test_value_below_one(self):
         assert pp_floor(pp((2, -1))) == 0
@@ -152,3 +184,28 @@ def test_compare_antisymmetric(a, b):
 def test_equal_transitive(a, b, c):
     if pp_compare(a, b) == EQUAL and pp_compare(b, c) == EQUAL:
         assert pp_compare(a, c) == EQUAL
+
+
+@settings(max_examples=150, deadline=None)
+@given(_products, _products)
+def test_agrees_with_bigint_oracle(a, b):
+    """compare, pp_floor and pp_is_integer match the big-integer path."""
+    budget = 10 ** 8
+    assert pp_compare(a, b) == bigint_compare(a, b, bit_budget=budget)
+    f = pp_floor(a)
+    if f > 0:
+        assert bigint_compare(PowerProduct.of_int(f), a, bit_budget=budget) <= 0
+    assert bigint_compare(a, PowerProduct.of_int(f + 1), bit_budget=budget) == LESS
+    exact = f >= 1 and bigint_compare(a, PowerProduct.of_int(f), bit_budget=budget) == EQUAL
+    assert pp_is_integer(a) == exact
+
+
+@settings(max_examples=150, deadline=None)
+@given(_products)
+def test_rewritten_bases_stay_equal(x):
+    """b^e written as (b^2)^(e/2) is the same real: EQUAL, same floor, same
+    integrality."""
+    y = PowerProduct((b * b, e / 2) for b, e in x.factors)
+    assert pp_compare(x, y) == EQUAL
+    assert pp_floor(x) == pp_floor(y)
+    assert pp_is_integer(x) == pp_is_integer(y)

@@ -121,6 +121,19 @@ class TestR0:
         assert params.i_star == 2
         assert base == PowerProduct(((3, Fr(4, 3)), (2, Fr(1, 6))))
 
+    @pytest.mark.parametrize("k,s", [(13, 50), (13, 61), (13, 78),
+                                     (14, 54), (14, 70), (14, 91)])
+    def test_large_k_matches_mpmath(self, k, s):
+        # cells the big-integer path could not finish under its bit budget
+        import mpmath
+        base, _ = th.r0_base(k, s)
+        with mpmath.workprec(512):
+            value = mpmath.fprod(mpmath.mpf(b) ** (mpmath.mpf(e.numerator) / e.denominator)
+                                 for b, e in base.factors)
+            floor = int(mpmath.floor(value))
+            assert min(value - floor, floor + 1 - value) > mpmath.mpf(2) ** -400
+        assert th.r0(k, s) == floor + 1
+
 
 class TestR1:
     def test_examples(self):
@@ -133,7 +146,7 @@ class TestR1:
         assert th.r1(5, 9) == 15   # 8^(4/3) = 16 exactly
 
     def test_below_r0_everywhere(self):
-        for k in range(4, 13):
+        for k in range(4, 21):
             for s in range(3, comb(k, 2) + 1):
                 assert th.r1(k, s) < th.r0(k, s)
 
