@@ -480,8 +480,9 @@ def question2_ratio(n: int, k: int, s: int, r: int, **count_kwargs) -> dict:
 class CensusCache:
     """JSON-lines store of census polynomials keyed by (graph6, k, s, t_max).
 
-    Puts are idempotent; corrupted lines are skipped with a warning; I/O
-    errors always surface.
+    Puts are idempotent; corrupted lines are skipped with a warning, and
+    lines written by another rtlab version are skipped silently; I/O errors
+    always surface.
     """
 
     def __init__(self, path):
@@ -490,6 +491,7 @@ class CensusCache:
         self._load()
 
     def _load(self):
+        from . import __version__
         if not self.path.exists():
             return
         with open(self.path, "r", encoding="utf-8") as fh:
@@ -498,11 +500,13 @@ class CensusCache:
                 if not line:
                     continue
                 try:
-                    poly = CensusPolynomial.from_json_obj(json.loads(line))
+                    obj = json.loads(line)
+                    poly = CensusPolynomial.from_json_obj(obj)
                 except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                     warnings.warn(f"{self.path}:{lineno}: skipping corrupted cache line ({exc})")
                     continue
-                self._entries[poly.key()] = poly
+                if obj.get("tool_version") == __version__:   # never reuse another version's work
+                    self._entries[poly.key()] = poly
 
     def get(self, graph_id: str, k: int, s: int, t_max: int) -> CensusPolynomial | None:
         return self._entries.get((graph_id, k, s, t_max))

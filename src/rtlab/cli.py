@@ -203,7 +203,7 @@ def _run_lp(args, cfg) -> int:
         if p is None or j is None:
             _, (p, j) = thresholds.l_opt(args.k, args.s)
         lp = lpverify.build_lp(args.k, args.s, lpverify.VARIANT_MID_HIGH, p=p, j=j)
-        cert = lpverify.certify(lp, {})
+        cert = lpverify.certify(lp, lpverify.claimed_solution(args.k, args.s, p, j))
         payload_extra["case_bases_ordering"] = lpverify.compare_case_bases(
             args.k, args.s, p, j)
     md = (f"lp k={cert.lp.k} s={cert.lp.s} variant={cert.lp.variant}: "

@@ -4,9 +4,13 @@ The program lives over edge-class masses e_j (j = index of a color-list
 size), normalized so the unit on every right-hand side is 1.  Constraints
 are suffix sums c_i * (e_lo + ... + e_{s-1}) <= 1; the objective maximizes
 prod j ** e_j, handled multiplicatively as a PowerProduct so rational
-vertices compare exactly and no logarithm ever enters the arithmetic.
-Optimality is certified by enumerating every basic feasible solution,
-which is self-evidently exhaustive at these sizes.
+points compare exactly and no logarithm ever enters the arithmetic.
+Because the rows are nested suffix sums, a greedy pass finds the optimum
+and dual multipliers y_i = ln q_i with rational q_i.  Optimality is then
+certified by weak duality: the point is feasible in rationals, every
+q_i >= 1, each variable j is covered by multipliers whose product is
+>= j, and the dual objective prod q_i^(1/coef_i) is EQUAL to the point's
+value.  All of it costs O(rows + vars) plus one PowerProduct comparison.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from math import comb
 
 from .errors import ContractViolationError
 from .exactnum import EQUAL, PowerProduct, pp_compare
-from .thresholds import cap_A, i_star, b_param, l_param, r0_base, s0
+from .thresholds import b_param, cap_A, i_star, l_param, r0_base, s0, telescoping_terms
 
 VARIANT_LOW = "LOW"
 VARIANT_MID_HIGH = "MID_HIGH"
@@ -109,23 +113,24 @@ def build_lp(k: int, s: int, variant: str = VARIANT_LOW,
     raise ContractViolationError(f"unknown variant {variant!r}")
 
 
-def claimed_solution(k: int, s: int) -> dict[int, Fraction]:
-    """The closed-form optimum for the LOW instance.
+def claimed_solution(k: int, s: int, p: int | None = None,
+                     j: int | None = None) -> dict[int, Fraction]:
+    """The closed-form optimum: the telescoping terms, plus the cap for MID_HIGH.
 
-    Mass (k-1)/(k-2) sits at index s-1 and mass 1/((k-i-1)(k-i)) at index
-    s - A(k, k-i+1) - 1 for i in [2, i*]; everything else is zero.  s = 2
-    has no objective-bearing index, so the point is empty with value 1.
+    LOW (s <= s0) takes the terms through i*; s = 2 has no objective-bearing
+    index, so its point is empty with value 1.  MID_HIGH takes the terms
+    through k-2 and puts the whole cap l_param(k, s, p, j) on the top index
+    s - A(k, 2) - 1 of the free block, which is case_bases' upper bound.
     """
     if k < 4 or not 2 <= s <= comb(k, 2):
         raise ContractViolationError(f"need k >= 4 and 2 <= s <= C(k,2), got {(k, s)}")
-    if s > s0(k):
-        raise ContractViolationError(f"claimed_solution covers the LOW range s <= {s0(k)}")
-    if s == 2:
-        return {}
-    point = {s - 1: Fraction(k - 1, k - 2)}
-    for i in range(2, i_star(k, s) + 1):
-        idx = s - cap_A(k, k - i + 1) - 1
-        point[idx] = Fraction(1, (k - i - 1) * (k - i))
+    if s <= s0(k):
+        return {} if s == 2 else dict(telescoping_terms(k, s, i_star(k, s)))
+    if p is None or j is None:
+        raise ContractViolationError(
+            f"s = {s} is beyond s0(k) = {s0(k)}: the MID_HIGH point needs a witness pair (p, j)")
+    point = dict(telescoping_terms(k, s, k - 2))
+    point[s - cap_A(k, 2) - 1] = l_param(k, s, p, j)
     return point
 
 
@@ -134,9 +139,31 @@ def support_indices(k: int, s: int, top_i: int | None = None) -> tuple[int, ...]
     if s == 2:
         return ()
     top = i_star(k, s) if top_i is None else top_i
-    idxs = [s - 1]
-    idxs.extend(s - cap_A(k, k - i + 1) - 1 for i in range(2, top + 1))
-    return tuple(idxs)
+    return tuple(idx for idx, _ in telescoping_terms(k, s, top))
+
+
+@dataclass(frozen=True)
+class DualCertificate:
+    """Dual multipliers y = ln q, one per row, plus one for the cap.
+
+    With u_i = 1/coef_i, row i reads S(lo_i) <= u_i, where S(t) is the sum
+    of e_j over j >= t.  The dual objective is prod q_i^u_i * q_cap^cap.
+    """
+
+    rows: tuple[Fraction, ...]
+    cap: Fraction | None = None
+
+    def value(self, lp: StabilityLP) -> PowerProduct:
+        factors = []
+        for q, c in zip(self.rows, lp.rows):
+            factors += [(q.numerator, 1 / c.coef), (q.denominator, -1 / c.coef)]
+        if self.cap is not None:
+            factors += [(self.cap.numerator, lp.free_cap), (self.cap.denominator, -lp.free_cap)]
+        return PowerProduct(factors)
+
+    def to_dict(self) -> dict:
+        return {"rows": [_frac_str(q) for q in self.rows],
+                "cap": _frac_str(self.cap) if self.cap is not None else None}
 
 
 @dataclass
@@ -148,9 +175,8 @@ class LPCertificate:
     tight_rows: tuple[int, ...]
     vertex_max: PowerProduct
     optimal: bool
-    vertices: list[tuple[Fraction, ...]]
     argmax_vertex: tuple[Fraction, ...]
-    degenerate_skipped: int
+    dual: DualCertificate
     sum_of_point: Fraction
     support_sum_expected: Fraction
     support_sum_actual: Fraction
@@ -168,8 +194,7 @@ class LPCertificate:
             "vertex_max_factors": self.vertex_max.factor_list(),
             "optimal": self.optimal,
             "argmax_vertex": {str(i): _frac_str(v) for i, v in zip(dims, self.argmax_vertex)},
-            "vertices": [[_frac_str(v) for v in vert] for vert in self.vertices],
-            "degenerate_skipped": self.degenerate_skipped,
+            "dual": self.dual.to_dict(),
             "sum_of_point": _frac_str(self.sum_of_point),
             "support": list(self.support),
             "support_sum_expected": _frac_str(self.support_sum_expected),
@@ -221,7 +246,9 @@ def enumerate_vertices(lp: StabilityLP):
     Every vertex activates some subset of the rows plus enough e_j = 0
     pins; equivalently, pick equally many rows and basic variables and
     solve the square rational system.  Singular systems are counted, never
-    silently dropped.
+    silently dropped.  Exponential in the instance size, so certify does not
+    use it; it is kept only as the tests' independent oracle and as a span
+    of the benchmark's traced run (perfbench/tracing.py).
     """
     dims, rows, bounds = _constraint_matrix(lp)
     d = len(dims)
@@ -249,45 +276,130 @@ def enumerate_vertices(lp: StabilityLP):
     return sorted(seen), degenerate
 
 
-def certify(lp: StabilityLP, point: dict[int, Fraction]) -> LPCertificate:
-    """Check the point exactly and compare it against every vertex."""
-    dims, rows, bounds = _constraint_matrix(lp)
-    pos = {idx: i for i, idx in enumerate(dims)}
-    vec = [Fraction(0)] * len(dims)
-    for idx, v in point.items():
-        if idx not in pos:
-            raise ContractViolationError(f"point index {idx} is not a variable of this instance")
-        vec[pos[idx]] = Fraction(v)
-    feasible = all(v >= 0 for v in vec)
-    tight = []
-    for ri, (row, bd) in enumerate(zip(rows, bounds)):
-        lhs = sum(c * x for c, x in zip(row, vec))
-        if lhs > bd:
-            feasible = False
-        elif lhs == bd:
-            tight.append(ri)
+def _in_cap(lp: StabilityLP, idx: int) -> bool:
+    return lp.free_cap is not None and lp.free_range[0] <= idx <= lp.free_range[1]
 
-    vertices, degenerate = enumerate_vertices(lp)
+
+def _rows_by_lo(lp: StabilityLP) -> list[int]:
+    return sorted(range(len(lp.rows)), key=lambda i: lp.rows[i].lo)
+
+
+def greedy_optimum(lp: StabilityLP) -> tuple[dict[int, Fraction], DualCertificate]:
+    """The optimum x* and a dual certificate for it, from one upward pass.
+
+    The cap block lies below every row, so the variables split into two
+    chains.  On the cap chain the whole cap goes to the top index h, and
+    q_cap = h.  On the suffix chain the objective is sum_t S(t) ln(t/prev(t)),
+    prev(first) = 1, with every weight >= 0; so S(t) = U(t), the least u_i
+    over the rows with lo_i <= t, maximizes every term at once, and U never
+    increases, so each mass U(t) - U(next(t)) is >= 0.  e_1 has weight 0
+    and stays empty, which keeps S(1) = S(2) <= U(1).  Charging t/prev(t)
+    to the row attaining U(t) gives q with the same objective value.
+    Nothing here is trusted: certify checks both halves exactly.
+    """
+    dims = lp.dims()
+    block = [t for t in dims if _in_cap(lp, t)]
+    chain = [t for t in dims if not _in_cap(lp, t)]
+    order = _rows_by_lo(lp)
+    if block and order and lp.rows[order[0]].lo <= block[-1]:
+        raise ContractViolationError("the cap block overlaps a suffix row")
+    q = [Fraction(1)] * len(lp.rows)
+    u_at = []                       # U(t) for each t of the chain
     best = None
-    best_vertex = None
-    for vert in vertices:
-        val = objective_value({idx: x for idx, x in zip(dims, vert)})
-        if best is None or pp_compare(val, best) > 0:
-            best = val
-            best_vertex = vert
+    nxt = 0
+    prev = 1
+    for t in chain:
+        while nxt < len(order) and lp.rows[order[nxt]].lo <= t:
+            if best is None or lp.rows[order[nxt]].coef > lp.rows[best].coef:
+                best = order[nxt]
+            nxt += 1
+        if best is None:
+            raise ContractViolationError(
+                f"variable e_{t} lies in no row or cap: the program is unbounded")
+        q[best] *= Fraction(t, prev)
+        u_at.append(1 / lp.rows[best].coef)
+        prev = t
+    point = {t: u - u_next for t, u, u_next in zip(chain, u_at, u_at[1:] + [Fraction(0)])
+             if t > 1 and u != u_next}
+    q_cap = None
+    if lp.free_cap is not None:
+        q_cap = Fraction(block[-1] if block else 1)
+        if block:
+            point[block[-1]] = lp.free_cap
+    return point, DualCertificate(tuple(q), q_cap)
+
+
+def _row_checks(lp: StabilityLP, point: dict[int, Fraction]) -> tuple[bool, tuple[int, ...]]:
+    """Exact feasibility of a point and its tight rows (the cap counts last),
+    from one downward suffix-sum pass over the point's entries."""
+    entries = sorted(point.items(), reverse=True)
+    lhs = [Fraction(0)] * len(lp.rows)
+    acc = Fraction(0)
+    n = 0
+    for i in _rows_by_lo(lp)[::-1]:
+        while n < len(entries) and entries[n][0] >= lp.rows[i].lo:
+            acc += entries[n][1]
+            n += 1
+        lhs[i] = lp.rows[i].coef * acc
+    bounds = [Fraction(1)] * len(lp.rows)
+    if lp.free_cap is not None:
+        lhs.append(sum((v for t, v in point.items() if _in_cap(lp, t)), Fraction(0)))
+        bounds.append(lp.free_cap)
+    feasible = all(v >= 0 for v in point.values()) and all(a <= b for a, b in zip(lhs, bounds))
+    return feasible, tuple(i for i, (a, b) in enumerate(zip(lhs, bounds)) if a == b)
+
+
+def dual_holds(lp: StabilityLP, dual: DualCertificate, value: PowerProduct) -> bool:
+    """Weak duality: True when dual is feasible and its objective EQUALS value,
+    which then bounds every feasible point's objective from above.
+
+    Feasibility: every q >= 1, and for each variable j the product of q over
+    the rows (and cap) covering j is >= j.  One running product over the rows
+    sorted by lo keeps this O(rows + vars).
+    """
+    if len(dual.rows) != len(lp.rows) or (dual.cap is None) != (lp.free_cap is None):
+        return False
+    if any(q < 1 for q in dual.rows) or (dual.cap is not None and dual.cap < 1):
+        return False
+    order = _rows_by_lo(lp)
+    covered = Fraction(1)
+    nxt = 0
+    for t in lp.dims():
+        while nxt < len(order) and lp.rows[order[nxt]].lo <= t:
+            covered *= dual.rows[order[nxt]]
+            nxt += 1
+        if (covered * dual.cap if _in_cap(lp, t) else covered) < t:
+            return False
+    return pp_compare(dual.value(lp), value) == EQUAL
+
+
+def certify(lp: StabilityLP, point: dict[int, Fraction]) -> LPCertificate:
+    """Check the point exactly against the optimum certified by weak duality."""
+    dims = lp.dims()
+    for idx in point:
+        if idx not in dims:
+            raise ContractViolationError(f"point index {idx} is not a variable of this instance")
+    point = {idx: Fraction(v) for idx, v in point.items()}
+    feasible, tight = _row_checks(lp, point)
+
+    best_point, dual = greedy_optimum(lp)
+    best = objective_value(best_point)
+    if not _row_checks(lp, best_point)[0] or not dual_holds(lp, dual, best):
+        raise ContractViolationError(
+            f"the greedy optimum of {lp.variant} (k, s) = {(lp.k, lp.s)} fails its certificate")
     claimed_value = objective_value(point)
     optimal = feasible and pp_compare(claimed_value, best) == EQUAL
 
     top = i_star(lp.k, lp.s) if lp.variant == VARIANT_LOW else lp.k - 2
     supp = support_indices(lp.k, lp.s, top_i=top)
-    actual = sum((Fraction(point.get(i, 0)) for i in supp), Fraction(0))
+    actual = sum((point.get(i, Fraction(0)) for i in supp), Fraction(0))
     expected = Fraction(2)
     return LPCertificate(
-        lp=lp, claimed_point=dict(point), claimed_value=claimed_value,
-        feasible=feasible, tight_rows=tuple(tight),
-        vertex_max=best, optimal=optimal, vertices=vertices,
-        argmax_vertex=best_vertex, degenerate_skipped=degenerate,
-        sum_of_point=sum((Fraction(v) for v in point.values()), Fraction(0)),
+        lp=lp, claimed_point=point, claimed_value=claimed_value,
+        feasible=feasible, tight_rows=tight,
+        vertex_max=best, optimal=optimal,
+        argmax_vertex=tuple(best_point.get(idx, Fraction(0)) for idx in dims), dual=dual,
+        sum_of_point=sum(point.values(), Fraction(0)),
         support_sum_expected=expected, support_sum_actual=actual,
         support_sum_matches=actual == expected, support=supp)
 
@@ -303,9 +415,7 @@ def case_bases(k: int, s: int, p: int, j: int) -> tuple[PowerProduct, PowerProdu
         raise ContractViolationError(f"case bases need s >= s0(k) = {s0(k)}")
     weight = l_param(k, s, p, j)
     head = s - cap_A(k, 2) - 1
-    core = [(s - 1, Fraction(k - 1, k - 2))]
-    core.extend((s - cap_A(k, k - i + 1) - 1, Fraction(1, (k - i - 1) * (k - i)))
-                for i in range(2, k - 1))
+    core = telescoping_terms(k, s, k - 2)
     lower = PowerProduct(core + [(head, weight - 2)])
     upper = PowerProduct(core + [(head, weight)])
     return lower, upper

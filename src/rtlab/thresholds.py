@@ -141,26 +141,30 @@ def regime_params(k: int, s: int) -> RegimeParams:
     return RegimeParams(lo, hi, Regime.HIGH, j_star=j_star(k, s))
 
 
-def _core_product(k: int, s: int, upto_i: int) -> PowerProduct:
-    # (s-1)^((k-1)/(k-2)) * prod_{i=2..upto_i} (s - A(k,k-i+1) - 1)^(1/((k-i-1)(k-i)))
-    factors = [(s - 1, Fraction(k - 1, k - 2))]
-    for i in range(2, upto_i + 1):
-        base = s - cap_A(k, k - i + 1) - 1
-        factors.append((base, Fraction(1, (k - i - 1) * (k - i))))
-    return PowerProduct(factors)
+def telescoping_terms(k: int, s: int, upto_i: int) -> list[tuple[int, Fraction]]:
+    """The (index, mass) list behind the r0 base and the LP's claimed optimum.
+
+    Mass (k-1)/(k-2) at index s-1, then mass 1/((k-i-1)(k-i)) at index
+    s - A(k, k-i+1) - 1 for i in [2, upto_i]; the masses telescope to
+    (k-upto_i)/(k-upto_i-1).
+    """
+    terms = [(s - 1, Fraction(k - 1, k - 2))]
+    terms.extend((s - cap_A(k, k - i + 1) - 1, Fraction(1, (k - i - 1) * (k - i)))
+                 for i in range(2, upto_i + 1))
+    return terms
 
 
 def r0_base(k: int, s: int) -> tuple[PowerProduct, RegimeParams]:
     """The bracketed expression whose least integer above is r0(k, s)."""
     params = regime_params(k, s)
     if params.regime is Regime.LOW:
-        return _core_product(k, s, params.i_star), params
+        return PowerProduct(telescoping_terms(k, s, params.i_star)), params
     if params.regime is Regime.MID:
         weight = l_param(k, s, params.p_star, k - 1)
     else:
         weight = l_param(k, s, 2, params.j_star)
     head = PowerProduct(((s - cap_A(k, 2) - 1, weight),))
-    return head * _core_product(k, s, k - 2), params
+    return head * PowerProduct(telescoping_terms(k, s, k - 2)), params
 
 
 def r0(k: int, s: int) -> int:

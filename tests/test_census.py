@@ -210,6 +210,21 @@ class TestCache:
         assert len(caught) == 2
         assert reloaded.get(K3.graph6, 3, 2, 3) is not None
 
+    def test_other_tool_version_skipped(self, tmp_path):
+        import json
+        path = tmp_path / "c.jsonl"
+        CensusCache(path).put(build_census(K3, 3, 2, t_max=3))
+        stale = json.loads(path.read_text())
+        stale["tool_version"] = "0.0.0"
+        path.write_text(json.dumps(stale) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cache = CensusCache(path)
+        assert cache.get(K3.graph6, 3, 2, 3) is None
+        assert cache.find_at_least(K3.graph6, 3, 2, 1) is None
+        assert cache.put(build_census(K3, 3, 2, t_max=3))   # recomputed entry is stored
+        assert CensusCache(path).get(K3.graph6, 3, 2, 3) is not None
+
     def test_count_uses_cache(self, tmp_path):
         cache = CensusCache(tmp_path / "c.jsonl")
         first = count_colorings(K4, 4, 3, 3, cache=cache)

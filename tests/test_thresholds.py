@@ -121,6 +121,15 @@ class TestR0:
         assert params.i_star == 2
         assert base == PowerProduct(((3, Fr(4, 3)), (2, Fr(1, 6))))
 
+    def test_telescoping_terms(self):
+        assert th.telescoping_terms(5, 4, 2) == [(3, Fr(4, 3)), (2, Fr(1, 6))]
+        assert th.telescoping_terms(4, 3, 1) == [(2, Fr(3, 2))]
+        for k in range(4, 13):
+            for upto in range(1, k - 1):
+                terms = th.telescoping_terms(k, comb(k, 2), upto)
+                assert sum(m for _, m in terms) == Fr(k - upto, k - upto - 1)
+                assert len({idx for idx, _ in terms}) == upto    # distinct indices
+
     @pytest.mark.parametrize("k,s", [(13, 50), (13, 61), (13, 78),
                                      (14, 54), (14, 70), (14, 91)])
     def test_large_k_matches_mpmath(self, k, s):
