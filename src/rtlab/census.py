@@ -19,13 +19,11 @@ from __future__ import annotations
 import json
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, perm
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ContractViolationError, ResourceLimitError
 from .graphs import Graph, complete, complete_multipartite, k_cliques, parse_graph6, \
@@ -36,6 +34,9 @@ DEFAULT_COLORING_BUDGET = 10 ** 8
 DEFAULT_NODE_BUDGET = 10 ** 9
 DEFAULT_SPLIT_DEPTH = 4
 _CHUNK = 1 << 16
+
+if TYPE_CHECKING:   # numpy is imported where it is used: only brute-force counting loads it
+    import numpy as np
 
 METHOD_BRUTE = "brute"
 METHOD_CENSUS = "census"
@@ -104,6 +105,8 @@ class CensusPolynomial:
 # -- brute-force oracle ----------------------------------------------------------
 
 def _digit_block(r: int, m: int, start: int, stop: int) -> np.ndarray:
+    import numpy as np
+
     idx = np.arange(start, stop, dtype=np.int64)
     out = np.empty((stop - start, m), dtype=np.int64)
     div = 1
@@ -114,6 +117,8 @@ def _digit_block(r: int, m: int, start: int, stop: int) -> np.ndarray:
 
 
 def _distinct_counts(cols: np.ndarray, r: int) -> np.ndarray:
+    import numpy as np
+
     if r <= 64:
         masks = np.bitwise_or.reduce(
             np.left_shift(np.uint64(1), cols.astype(np.uint64)), axis=1)
@@ -126,6 +131,8 @@ def count_brute(g: Graph, k: int, s: int, r: int,
                 coloring_budget: int = DEFAULT_COLORING_BUDGET) -> CountResult:
     """Walk all r**m edge colorings and accept those with every k-clique
     showing at most s-1 distinct colors.  The definitional oracle."""
+    import numpy as np
+
     if r < 1 or s < 2:
         raise ContractViolationError(f"count_brute needs r >= 1, s >= 2, got {(r, s)}")
     t0 = time.perf_counter()
@@ -252,9 +259,9 @@ def build_census(g: Graph, k: int, s: int, t_max: int | None = None,
     """Tally a_t for t in [1, t_max] over all admissible edge partitions.
 
     With jobs > 1 the tree is split at a fixed depth into independent
-    subtree tasks whose coefficient vectors are merged by addition, so the
-    result is identical to the sequential walk.  The node budget is then
-    enforced per task.
+    subtree tasks whose coefficient vectors and node counts are merged by
+    addition, so the result, and whether the node budget is exceeded, are
+    identical to the sequential walk.
     """
     if s < 2:
         raise ContractViolationError(f"census needs s >= 2, got {s}")
@@ -273,11 +280,15 @@ def build_census(g: Graph, k: int, s: int, t_max: int | None = None,
         _enumerate_partitions(m, s, t_max, cliques_of, coeffs, node_budget,
                               counter, collect_prefixes=sink)
         tasks = [(g.graph6, k, s, t_max, pre, node_budget) for pre in sink[1]]
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             for part, nodes in pool.map(_census_task, tasks, chunksize=8):
                 for t in range(t_max + 1):
                     coeffs[t] += part[t]
                 counter[0] += nodes
+        if counter[0] > node_budget:   # each task checks only its own share
+            raise ResourceLimitError(f"census node budget {node_budget} exceeded")
     coefficients = {t: a for t, a in enumerate(coeffs) if a}
     if m == 0:
         coefficients = {0: 1}

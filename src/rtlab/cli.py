@@ -14,6 +14,7 @@ import functools
 import json
 import os
 import sys
+from typing import NamedTuple
 
 from . import __version__, census, lpverify, propcheck, thresholds
 from .errors import ContractViolationError, ResourceLimitError
@@ -45,13 +46,26 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _parse_range(text: str) -> tuple[int, int]:
-    """"4" -> (4, 4); "4..6" -> (4, 6)."""
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return int(lo), int(hi)
-    v = int(text)
-    return v, v
+def _int_range(text: str) -> range:
+    """argparse type of a k or s value: "4" -> range(4, 5), "4..6" -> range(4, 7)."""
+    lo, sep, hi = text.partition("..")
+    try:
+        values = range(int(lo), int(hi if sep else lo) + 1)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not an integer or a range like 4..6") from None
+    if not values:
+        raise argparse.ArgumentTypeError(f"range {text!r} is empty")
+    return values
+
+
+def _part_sizes(text: str) -> list[int]:
+    """argparse type of --parts: "3,2,2" -> [3, 2, 2]."""
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a comma-separated list of part sizes") from None
 
 
 def _load_config_file(path) -> dict:
@@ -86,45 +100,86 @@ def _effective_config(args) -> dict:
     return cfg
 
 
-def _emit(payload: dict, cfg: dict, command: str, md_body: str, fmt: str,
-          csv_body: str | None = None) -> None:
-    if fmt == "json":
-        doc = {"tool": "rtlab", "version": __version__, "command": command,
-               "config": {k: cfg[k] for k in sorted(cfg)}, "result": payload}
+class _Output(NamedTuple):
+    """One command's result.  csv is None for commands without a CSV form;
+    --format csv then prints the md lines."""
+
+    command: str
+    payload: dict
+    md: list[str]
+    csv: list[list] | None = None
+    code: int = EXIT_OK
+
+
+def _emit(out: _Output, cfg: dict) -> int:
+    """Write the result to stdout in the configured format; return its exit code."""
+    if cfg["format"] == "json":
+        doc = {"tool": "rtlab", "version": __version__, "command": out.command,
+               "config": {k: cfg[k] for k in sorted(cfg)}, "result": out.payload}
         sys.stdout.write(json.dumps(doc, indent=2) + "\n")
-        return
-    header = [f"# rtlab v{__version__} :: {command}"]
-    header.append("# config: " + " ".join(f"{k}={cfg[k]}" for k in sorted(cfg)))
-    body = csv_body if (fmt == "csv" and csv_body is not None) else md_body
-    sys.stdout.write("\n".join(header) + "\n" + body)
+        return out.code
+    lines = [f"# rtlab v{__version__} :: {out.command}",
+             "# config: " + " ".join(f"{k}={cfg[k]}" for k in sorted(cfg))]
+    if cfg["format"] == "csv" and out.csv is not None:
+        lines += (",".join("" if c is None else str(c) for c in row) for row in out.csv)
+    else:
+        lines += out.md
+    sys.stdout.write("\n".join(lines) + "\n")
+    return out.code
 
 
 # -- subcommand runners ---------------------------------------------------------
 
-def _run_thresholds(args, cfg) -> int:
-    fmt = cfg["format"]
+#: CSV columns of a threshold cell, read from its JSON dict (r1 is blank at s = 2)
+_CELL_COLUMNS = ("k", "s", "r0", "r1", "regime")
+
+
+def _md_grid(columns, rows) -> list[str]:
+    return (["| k\\s | " + " | ".join(map(str, columns)) + " |",
+             "|" + "---|" * (len(columns) + 1)]
+            + ["| " + " | ".join(row) + " |" for row in rows])
+
+
+def _threshold_table(args) -> _Output:
+    """The r0 and r1 grids (r1 from s = 3), CSV rows and JSON cells, in one
+    pass over the cells."""
+    table = thresholds.emit_tables(args.k, args.s)
+    r0_rows, r1_rows, csv, cells = [], [], [_CELL_COLUMNS], []
+    for k in table.k_values:
+        r0_row, r1_row = [str(k)], [str(k)]
+        for s in table.s_values:
+            rep = table.cells.get((k, s))
+            mark = table.marker(k, s)
+            r0_row.append("" if rep is None else f"{rep.r0}{mark}")
+            if s >= 3:
+                r1_row.append("" if rep is None else f"{rep.r1}{mark}")
+            if rep is not None:
+                cells.append({**rep.to_dict(), "marker": mark})
+                csv.append([cells[-1][c] for c in _CELL_COLUMNS])
+        r0_rows.append(r0_row)
+        r1_rows.append(r1_row)
+    md = (_md_grid(table.s_values, r0_rows) + [""]
+          + _md_grid([s for s in table.s_values if s >= 3], r1_rows))
+    return _Output("thresholds table", {"cells": cells}, md, csv)
+
+
+def _run_thresholds(args, cfg) -> _Output:
     if args.table:
-        klo, khi = _parse_range(args.k)
-        srange = None
-        if args.s:
-            slo, shi = _parse_range(args.s)
-            srange = range(slo, shi + 1)
-        table = thresholds.emit_tables(range(klo, khi + 1), srange)
-        md = thresholds.table_markdown(table, "r0") + "\n" \
-            + thresholds.table_markdown(table, "r1")
-        _emit({"cells": thresholds.table_json_obj(table)}, cfg,
-              "thresholds table", md, fmt, csv_body=thresholds.table_csv(table))
-        return EXIT_OK
-    if args.s is None:
-        raise _UsageError("single-cell mode needs --s (or use: thresholds table)")
-    k, s = int(args.k), int(args.s)
-    rep = thresholds.threshold_report(k, s)
-    md = (f"k={k} s={s}: r0={rep.r0} r1={rep.r1 if s >= 3 else ''} "
-          f"regime={rep.regime.value} s0={rep.s0} s1={rep.s1} base={rep.base}\n")
-    csv = ("k,s,r0,r1,regime\n"
-           f"{k},{s},{rep.r0},{rep.r1 if s >= 3 else ''},{rep.regime.value}\n")
-    _emit(rep.to_dict(), cfg, "thresholds", md, fmt, csv_body=csv)
-    return EXIT_OK
+        return _threshold_table(args)
+    if args.s is None or len(args.k) != 1 or len(args.s) != 1:
+        raise _UsageError("single-cell mode needs one k and one s (or use: thresholds table)")
+    rep = thresholds.threshold_report(args.k[0], args.s[0])
+    cell = rep.to_dict()
+    md = (f"k={rep.k} s={rep.s}: r0={rep.r0} r1={cell['r1']} regime={rep.regime.value} "
+          f"s0={rep.s0} s1={rep.s1} base={rep.base}")
+    return _Output("thresholds", cell, [md], [_CELL_COLUMNS, [cell[c] for c in _CELL_COLUMNS]])
+
+
+def _census_kwargs(cfg) -> dict:
+    """Budgets, worker count and cache of every census-backed command."""
+    return {"node_budget": cfg["node_budget"], "coloring_budget": cfg["coloring_budget"],
+            "jobs": cfg["threads"],
+            "cache": census.CensusCache(cfg["cache"]) if cfg["cache"] else None}
 
 
 def _graph_from_args(args):
@@ -147,55 +202,43 @@ def _graph_from_args(args):
     if args.turan is not None:
         n, k = args.turan
         return turan_graph(n, k)
-    return complete_multipartite([int(x) for x in args.parts.split(",")])
+    return complete_multipartite(args.parts)
 
 
-def _run_count(args, cfg) -> int:
+def _run_count(args, cfg) -> _Output:
     g = _graph_from_args(args)
-    cache = census.CensusCache(cfg["cache"]) if cfg["cache"] else None
-    res = census.count_colorings(
-        g, args.k, args.s, args.r, method=args.method,
-        node_budget=cfg["node_budget"], coloring_budget=cfg["coloring_budget"],
-        jobs=cfg["threads"], cache=cache)
+    res = census.count_colorings(g, args.k, args.s, args.r, method=args.method,
+                                 **_census_kwargs(cfg))
     print(f"elapsed: {res.elapsed:.3f}s", file=sys.stderr)
     md = (f"count(graph6={res.graph_id!r}, k={res.k}, s={res.s}, r={res.r}) "
-          f"= {res.value}  [{res.method}]\n")
-    csv = ("graph6,k,s,r,method,value,nodes_visited\n"
-           f"{res.graph_id},{res.k},{res.s},{res.r},{res.method},"
-           f"{res.value},{res.nodes_visited}\n")
-    _emit(res.to_dict(), cfg, "count", md, cfg["format"], csv_body=csv)
-    return EXIT_OK
+          f"= {res.value}  [{res.method}]")
+    csv = ["graph6,k,s,r,method,value,nodes_visited".split(","),
+           [res.graph_id, res.k, res.s, res.r, res.method, res.value, res.nodes_visited]]
+    return _Output("count", res.to_dict(), [md], csv)
 
 
-def _run_scan(args, cfg) -> int:
-    cache = census.CensusCache(cfg["cache"]) if cfg["cache"] else None
+def _run_scan(args, cfg) -> _Output:
     res = census.extremal_scan(
         args.n, args.k, args.s, args.r,
         family="graph6_file" if args.file else "complete_multipartite",
-        graph6_path=args.file,
-        node_budget=cfg["node_budget"], coloring_budget=cfg["coloring_budget"],
-        jobs=cfg["threads"], cache=cache)
-    lines = [f"scan n={res.n} k={res.k} s={res.s} r={res.r} "
-             f"(reference count {res.turan_count})"]
-    csv_lines = ["rank,graph6,parts,value,vs_turan,tied,error"]
+        graph6_path=args.file, **_census_kwargs(cfg))
+    md = [f"scan n={res.n} k={res.k} s={res.s} r={res.r} "
+          f"(reference count {res.turan_count})"]
+    csv = ["rank,graph6,parts,value,vs_turan,tied,error".split(",")]
     for row in res.rows:
         parts = ",".join(map(str, row.parts)) if row.parts else ""
         if row.value is None:
-            lines.append(f"  -    {row.graph_id}  [{parts}]  ERROR {row.error}")
+            md.append(f"  -    {row.graph_id}  [{parts}]  ERROR {row.error}")
         else:
             tie = " (tie)" if row.tied else ""
-            lines.append(f"  #{row.rank}  {row.graph_id}  [{parts}]  {row.value}{tie}")
-        csv_lines.append(f"{row.rank or ''},{row.graph_id},\"{parts}\","
-                         f"{row.value if row.value is not None else ''},"
-                         f"{row.vs_turan if row.vs_turan is not None else ''},"
-                         f"{int(row.tied)},{row.error or ''}")
-    _emit(res.to_dict(), cfg, "scan", "\n".join(lines) + "\n", cfg["format"],
-          csv_body="\n".join(csv_lines) + "\n")
-    return EXIT_OK
+            md.append(f"  #{row.rank}  {row.graph_id}  [{parts}]  {row.value}{tie}")
+        csv.append([row.rank, row.graph_id, f'"{parts}"', row.value, row.vs_turan,
+                    int(row.tied), row.error])
+    return _Output("scan", res.to_dict(), md, csv)
 
 
-def _run_lp(args, cfg) -> int:
-    payload_extra = {}
+def _run_lp(args, cfg) -> _Output:
+    extra = {}
     if args.variant == "low":
         cert = lpverify.certify_low(args.k, args.s)
     else:
@@ -204,77 +247,66 @@ def _run_lp(args, cfg) -> int:
             _, (p, j) = thresholds.l_opt(args.k, args.s)
         lp = lpverify.build_lp(args.k, args.s, lpverify.VARIANT_MID_HIGH, p=p, j=j)
         cert = lpverify.certify(lp, lpverify.claimed_solution(args.k, args.s, p, j))
-        payload_extra["case_bases_ordering"] = lpverify.compare_case_bases(
-            args.k, args.s, p, j)
+        extra["case_bases_ordering"] = lpverify.compare_case_bases(args.k, args.s, p, j)
     md = (f"lp k={cert.lp.k} s={cert.lp.s} variant={cert.lp.variant}: "
           f"feasible={cert.feasible} optimal={cert.optimal} "
           f"value={cert.claimed_value} vertex_max={cert.vertex_max} "
           f"support_sum={cert.support_sum_actual} "
-          f"(expected 2: {cert.support_sum_matches})\n")
-    payload = cert.to_json_obj()
-    payload.update(payload_extra)
-    _emit(payload, cfg, "lp", md, cfg["format"])
-    return EXIT_OK
+          f"(expected 2: {cert.support_sum_matches})")
+    return _Output("lp", {**cert.to_json_obj(), **extra}, [md])
 
 
-def _run_props(args, cfg) -> int:
-    which = args.check
-    reports = []
-    if which in ("lpartite", "all"):
-        reports.append(propcheck.check_lpartite_lemma(
-            n_max=args.n_max, seed=cfg["seed"]))
-    if which in ("furedi", "all"):
-        reports.append(propcheck.furedi_suite(instances=args.instances, seed=cfg["seed"]))
-    if which in ("partsizes", "all"):
-        reports.append(propcheck.check_part_sizes(
-            samples=args.instances, k=args.k, t=args.t, seed=cfg["seed"]))
-    if which in ("entropy", "all"):
-        reports.append(propcheck.check_entropy(grid_resolution=args.grid))
-    if which in ("turanbounds", "all"):
-        reports.append(propcheck.check_turan_bounds())
-    md_lines = []
+def _run_props(args, cfg) -> _Output:
+    seed = cfg["seed"]
+    checks = {   # in the order "all" runs them
+        "lpartite": lambda: propcheck.check_lpartite_lemma(n_max=args.n_max, seed=seed),
+        "furedi": lambda: propcheck.furedi_suite(instances=args.instances, seed=seed),
+        "partsizes": lambda: propcheck.check_part_sizes(
+            samples=args.instances, k=args.k, t=args.t, seed=seed),
+        "entropy": lambda: propcheck.check_entropy(grid_resolution=args.grid),
+        "turanbounds": propcheck.check_turan_bounds,
+    }
+    reports = [run() for name, run in checks.items() if args.check in (name, "all")]
+    md = []
     for rep in reports:
-        md_lines.append(f"{rep.check_name}: {rep.verdict} "
-                        f"({rep.instances_tested} instances, "
-                        f"{len(rep.failures)} failures)")
-        md_lines.extend(f"  note: {note}" for note in rep.notes)
-        md_lines.extend(f"  FAIL: {f}" for f in rep.failures[:20])
-    payload = {"reports": [rep.to_dict() for rep in reports]}
-    _emit(payload, cfg, "props", "\n".join(md_lines) + "\n", cfg["format"])
-    return EXIT_OK if all(rep.passed for rep in reports) else EXIT_CHECK_FAILED
+        md.append(f"{rep.check_name}: {rep.verdict} "
+                  f"({rep.instances_tested} instances, "
+                  f"{len(rep.failures)} failures)")
+        md.extend(f"  note: {note}" for note in rep.notes)
+        md.extend(f"  FAIL: {f}" for f in rep.failures[:20])
+    code = EXIT_OK if all(rep.passed for rep in reports) else EXIT_CHECK_FAILED
+    return _Output("props", {"reports": [rep.to_dict() for rep in reports]}, md, code=code)
 
 
-def _run_pairs(args, cfg) -> int:
-    klo, khi = _parse_range(args.k)
+def _run_pairs(args, cfg) -> _Output:
+    klo, khi = args.k[0], args.k[-1]
     rep = propcheck.pairs_report((klo, khi), args.s_min)
-    md_lines = [f"pairs with r0 = r1 + 1 for k in [{klo},{khi}], s >= {args.s_min}:"]
-    md_lines.extend(f"  ({k},{s})" for k, s in rep["pairs"])
-    md_lines.append(f"note: {rep['note']}")
-    _emit(rep, cfg, "pairs", "\n".join(md_lines) + "\n", cfg["format"])
-    return EXIT_OK
+    md = [f"pairs with r0 = r1 + 1 for k in [{klo},{khi}], s >= {args.s_min}:"]
+    md.extend(f"  ({k},{s})" for k, s in rep["pairs"])
+    md.append(f"note: {rep['note']}")
+    return _Output("pairs", rep, md)
 
 
-def _run_findk0(args, cfg) -> int:
+def _run_findk0(args, cfg) -> _Output:
     rep = propcheck.find_k0(args.s, args.k_max)
-    md = "\n".join([f"{rep.check_name}: {rep.verdict}"] +
-                   [f"  {n}" for n in rep.notes]) + "\n"
-    _emit(rep.to_dict(), cfg, "findk0", md, cfg["format"])
-    return EXIT_OK if rep.passed else EXIT_CHECK_FAILED
+    md = [f"{rep.check_name}: {rep.verdict}"] + [f"  {n}" for n in rep.notes]
+    return _Output("findk0", rep.to_dict(), md,
+                   code=EXIT_OK if rep.passed else EXIT_CHECK_FAILED)
 
 
-def _run_q2(args, cfg) -> int:
-    cache = census.CensusCache(cfg["cache"]) if cfg["cache"] else None
-    rep = census.question2_ratio(
-        args.n, args.k, args.s, args.r,
-        node_budget=cfg["node_budget"], coloring_budget=cfg["coloring_budget"],
-        jobs=cfg["threads"], cache=cache)
+def _run_q2(args, cfg) -> _Output:
+    rep = census.question2_ratio(args.n, args.k, args.s, args.r, **_census_kwargs(cfg))
     md = (f"complete-graph count ratio at n={args.n}: {rep['ratio']} "
-          f"~ {rep['ratio_float']:.6g} (exploratory, no pass/fail)\n")
-    _emit(rep, cfg, "q2", md, cfg["format"])
-    return EXIT_OK
+          f"~ {rep['ratio_float']:.6g} (exploratory, no pass/fail)")
+    return _Output("q2", rep, [md])
 
 
 # -- parser ----------------------------------------------------------------------
+
+def _required_ints(p, names: str) -> None:
+    for name in names.split():
+        p.add_argument(f"--{name}", type=int, required=True)
+
 
 def _add_common(p):
     p.add_argument("--format", choices=("md", "csv", "json"), default=None)
@@ -297,8 +329,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("thresholds", help="threshold quantities and tables")
     p.add_argument("table", nargs="?", choices=("table",),
                    help="emit the full grid instead of one cell")
-    p.add_argument("--k", required=True, help="k or k range like 4..6")
-    p.add_argument("--s", default=None, help="s or s range")
+    p.add_argument("--k", type=_int_range, required=True, help="k or k range like 4..6")
+    p.add_argument("--s", type=_int_range, default=None, help="s or s range")
     _add_common(p)
 
     p = sub.add_parser("count", help="count admissible colorings of one graph")
@@ -306,24 +338,19 @@ def build_parser() -> _Parser:
     p.add_argument("--file", default=None)
     p.add_argument("--complete", type=int, default=None)
     p.add_argument("--turan", nargs=2, type=int, default=None, metavar=("N", "K"))
-    p.add_argument("--parts", default=None, help="comma-separated part sizes")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--parts", type=_part_sizes, default=None,
+                   help="comma-separated part sizes")
+    _required_ints(p, "k s r")
     p.add_argument("--method", choices=("auto", "brute", "census"), default="auto")
     _add_common(p)
 
     p = sub.add_parser("scan", help="rank a graph family by coloring count")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
+    _required_ints(p, "n k s r")
     p.add_argument("--file", default=None, help="graph6 file family instead of multipartite")
     _add_common(p)
 
     p = sub.add_parser("lp", help="build and certify a stability program")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
+    _required_ints(p, "k s")
     p.add_argument("--variant", choices=("low", "mid-high"), default="low")
     p.add_argument("--p", type=int, default=None)
     p.add_argument("--j", type=int, default=None)
@@ -340,20 +367,17 @@ def build_parser() -> _Parser:
     _add_common(p)
 
     p = sub.add_parser("pairs", help="census of pairs with r0 = r1 + 1")
-    p.add_argument("--k", default="4..9")
+    p.add_argument("--k", type=_int_range, default="4..9")
     p.add_argument("--s-min", dest="s_min", type=int, default=3)
     _add_common(p)
 
     p = sub.add_parser("findk0", help="k values where r0 = s and r1 = s - 1")
-    p.add_argument("--s", type=int, required=True)
+    _required_ints(p, "s")
     p.add_argument("--k-max", dest="k_max", type=int, default=30)
     _add_common(p)
 
     p = sub.add_parser("q2", help="exploratory complete-graph count ratio")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
+    _required_ints(p, "n k s r")
     _add_common(p)
 
     return parser
@@ -376,7 +400,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = _effective_config(args)
-        return _RUNNERS[args.command](args, cfg)
+        return _emit(_RUNNERS[args.command](args, cfg), cfg)
     except SystemExit as exc:   # argparse --help / --version
         return exc.code or 0
     except _UsageError as exc:

@@ -3,8 +3,8 @@
 Every ordering decision in this package reduces to comparing two values of
 the form prod(b_i ** e_i) with integer bases b_i >= 1 and rational
 exponents e_i, that is, to the sign of the quotient's logarithm
-sum(e_i * ln b_i).  Three steps decide it, and none of them builds a big
-integer:
+sum(e_i * ln b_i).  PowerProduct.compare decides it in three steps, and
+none of them builds a big integer:
 
 1. A conservative float screen settles comparisons whose logarithmic gap is
    far wider than float error.
@@ -28,9 +28,7 @@ The bit budget caps the working precision of step 3 and of pp_floor, and
 the size of an exact integer that pp_floor returns.  Exceeding it raises
 ResourceLimitError.
 
-Rationals are plain fractions.Fraction values (already reduced, positive
-denominator); the alias Rational below is the name the rest of the package
-uses.
+Exponents are plain fractions.Fraction values; a float exponent is rejected.
 """
 
 from __future__ import annotations
@@ -40,8 +38,6 @@ import math
 from fractions import Fraction
 
 from .errors import ContractViolationError, ResourceLimitError
-
-Rational = Fraction
 
 #: Default ceiling, in bits, on the working precision of a comparison or a
 #: floor, and on the size of an exact integer that a floor returns.
@@ -74,7 +70,7 @@ class PowerProduct:
 
     Canonical form merges equal bases, drops base 1 and zero exponents, and
     sorts factors by base.  Equality and hashing are structural on the
-    canonical form; use compare()/pp_compare() for the exact ordering of the
+    canonical form; use compare() for the exact ordering of the
     underlying real values (two structurally different products can still be
     equal as reals, e.g. 4**1 and 2**2).
     """
@@ -163,12 +159,6 @@ class PowerProduct:
     def log2(self) -> float:
         """Float estimate of log2(value); exactness never depends on it."""
         return sum(float(e) * math.log2(b) for b, e in self.factors)
-
-    def __float__(self):
-        try:
-            return 2.0 ** self.log2()
-        except OverflowError:
-            return math.inf
 
     # -- exact comparison ----------------------------------------------------------
 
@@ -342,11 +332,6 @@ def _interval_sign(terms, digits: int) -> int:
     if mid.copy_abs() > rad:
         return 1 if mid > 0 else -1
     return 0
-
-
-def pp_compare(a: PowerProduct, b: PowerProduct, bit_budget=None) -> int:
-    """Exact ordering of two products: LESS, EQUAL or GREATER."""
-    return a.compare(b, bit_budget=bit_budget)
 
 
 def pp_floor(x: PowerProduct, bit_budget=None) -> int:

@@ -239,16 +239,6 @@ def k_cliques(g: Graph, k: int, mask_bits: int = DEFAULT_MASK_BITS):
     return out
 
 
-def count_cliques_bruteforce(g: Graph, k: int) -> int:
-    """Independent all-subsets completeness test; cross-check for k_cliques."""
-    from itertools import combinations
-    cnt = 0
-    for sub in combinations(range(g.n), k):
-        if all(g.has_edge(u, v) for u, v in combinations(sub, 2)):
-            cnt += 1
-    return cnt
-
-
 # -- exact maximum l-partite subgraph ----------------------------------------------
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from itertools import combinations
 from math import comb
 
 from .errors import ContractViolationError
-from .exactnum import EQUAL, PowerProduct, pp_compare
+from .exactnum import EQUAL, PowerProduct
 from .thresholds import b_param, cap_A, i_star, l_param, r0_base, s0, telescoping_terms
 
 VARIANT_LOW = "LOW"
@@ -370,7 +370,7 @@ def dual_holds(lp: StabilityLP, dual: DualCertificate, value: PowerProduct) -> b
             nxt += 1
         if (covered * dual.cap if _in_cap(lp, t) else covered) < t:
             return False
-    return pp_compare(dual.value(lp), value) == EQUAL
+    return dual.value(lp).compare(value) == EQUAL
 
 
 def certify(lp: StabilityLP, point: dict[int, Fraction]) -> LPCertificate:
@@ -388,7 +388,7 @@ def certify(lp: StabilityLP, point: dict[int, Fraction]) -> LPCertificate:
         raise ContractViolationError(
             f"the greedy optimum of {lp.variant} (k, s) = {(lp.k, lp.s)} fails its certificate")
     claimed_value = objective_value(point)
-    optimal = feasible and pp_compare(claimed_value, best) == EQUAL
+    optimal = feasible and claimed_value.compare(best) == EQUAL
 
     top = i_star(lp.k, lp.s) if lp.variant == VARIANT_LOW else lp.k - 2
     supp = support_indices(lp.k, lp.s, top_i=top)
@@ -425,11 +425,11 @@ def compare_case_bases(k: int, s: int, p: int, j: int) -> int:
     """Exact ordering of the two bounds; never greater, equal when the head
     factor is 1."""
     lower, upper = case_bases(k, s, p, j)
-    return pp_compare(lower, upper)
+    return lower.compare(upper)
 
 
 def low_base_matches_threshold(k: int, s: int) -> bool:
     """Cross-module identity: the certified LOW optimum equals the r0 bracket."""
     cert = certify_low(k, s)
     base, _ = r0_base(k, s)
-    return pp_compare(cert.vertex_max, base) == EQUAL
+    return cert.vertex_max.compare(base) == EQUAL

@@ -302,45 +302,3 @@ def emit_tables(k_values, s_values=None) -> ThresholdTable:
             if 2 <= s <= comb(k, 2):
                 table.cells[(k, s)] = threshold_report(k, s)
     return table
-
-
-def table_markdown(table: ThresholdTable, value: str = "r0") -> str:
-    """Paper-style grid; value is "r0" or "r1" (r1 starts at s = 3)."""
-    s_vals = [s for s in table.s_values if value == "r0" or s >= 3]
-    lines = ["| k\\s | " + " | ".join(str(s) for s in s_vals) + " |",
-             "|" + "---|" * (len(s_vals) + 1)]
-    for k in table.k_values:
-        row = [str(k)]
-        for s in s_vals:
-            rep = table.cells.get((k, s))
-            if rep is None:
-                row.append("")
-            else:
-                row.append(f"{getattr(rep, value)}{table.marker(k, s)}")
-        lines.append("| " + " | ".join(row) + " |")
-    return "\n".join(lines) + "\n"
-
-
-def table_csv(table: ThresholdTable) -> str:
-    lines = ["k,s,r0,r1,regime"]
-    for k in table.k_values:
-        for s in table.s_values:
-            rep = table.cells.get((k, s))
-            if rep is None:
-                continue
-            r1s = str(rep.r1) if s >= 3 else ""
-            lines.append(f"{k},{s},{rep.r0},{r1s},{rep.regime.value}")
-    return "\n".join(lines) + "\n"
-
-
-def table_json_obj(table: ThresholdTable) -> list:
-    out = []
-    for k in table.k_values:
-        for s in table.s_values:
-            rep = table.cells.get((k, s))
-            if rep is None:
-                continue
-            d = rep.to_dict()
-            d["marker"] = table.marker(k, s)
-            out.append(d)
-    return out

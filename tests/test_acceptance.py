@@ -13,7 +13,7 @@ from rtlab import census as cn
 from rtlab import lpverify as lpv
 from rtlab import propcheck as pc
 from rtlab import thresholds as th
-from rtlab.exactnum import EQUAL, pp_compare
+from rtlab.exactnum import EQUAL
 from rtlab.graphs import Graph, complete, turan_graph
 
 JOBS = 4
@@ -161,7 +161,7 @@ def test_criterion_6_lp_certificates():
                 failures.append((k, s, "infeasible"))
             if not cert.optimal:
                 failures.append((k, s, "not optimal"))
-            if pp_compare(cert.vertex_max, base) != EQUAL:
+            if cert.vertex_max.compare(base) != EQUAL:
                 failures.append((k, s, "value != threshold base"))
             if s >= 3:
                 i = params.i_star

@@ -81,6 +81,13 @@ class TestCensus:
         with pytest.raises(ResourceLimitError):
             build_census(T36, 4, 3, t_max=12, node_budget=1000)
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_node_budget_is_global(self, jobs):
+        # the walk visits 1,525 nodes; the budget decision must not depend on jobs
+        assert build_census(K5, 4, 3, t_max=5, jobs=jobs, node_budget=1525).nodes_visited == 1525
+        with pytest.raises(ResourceLimitError):
+            build_census(K5, 4, 3, t_max=5, jobs=jobs, node_budget=1524)
+
     def test_parallel_matches_sequential(self):
         g = complete_multipartite([2, 2, 2])
         seq = build_census(g, 4, 3, t_max=8)

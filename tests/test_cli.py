@@ -1,6 +1,12 @@
 """CLI behavior: exit codes, formats, determinism, config layering."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from rtlab.cli import (EXIT_CHECK_FAILED, EXIT_CONTRACT, EXIT_OK, EXIT_RESOURCE,
                        EXIT_USAGE, main)
@@ -46,6 +52,19 @@ class TestThresholds:
     def test_unknown_flag_usage(self, capsys):
         code, _, _ = run(capsys, "thresholds", "--k", "4", "--s", "3", "--bogus")
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("argv", [
+        "thresholds --k x --s 3",
+        "thresholds table --k 4..x",
+        "thresholds table --k 6..4",
+        "thresholds --k 4..6 --s 3",
+        "pairs --k 4..z",
+        "count --parts 2,a --k 3 --s 2 --r 2",
+    ])
+    def test_malformed_values_usage(self, capsys, argv):
+        code, out, err = run(capsys, *argv.split())
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("usage error: ")
 
 
 class TestCount:
@@ -198,3 +217,23 @@ class TestConfigLayers:
             assert code == EXIT_OK and out.startswith("# rtlab")
         assert outputs[0] == outputs[1]
         assert "usage: rtlab" in outputs[0][0] and outputs[0][1].startswith("rtlab ")
+
+
+def _python(*args):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=60)
+
+
+class TestProcess:
+    def test_python_m_rtlab(self):
+        proc = _python("-m", "rtlab", "thresholds", "--k", "4", "--s", "5", "--format", "json")
+        assert proc.returncode == EXIT_OK
+        assert json.loads(proc.stdout)["result"]["r0"] == "222"
+
+    def test_cli_import_leaves_numpy_unloaded(self):
+        # numpy serves only the brute-force oracle and is imported there
+        proc = _python("-c", "import sys, rtlab.cli; print('numpy' in sys.modules)")
+        assert proc.returncode == 0 and proc.stdout.strip() == "False"

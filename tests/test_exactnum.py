@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from bigint_oracle import bigint_compare
 from rtlab.errors import ContractViolationError, ResourceLimitError
 from rtlab.exactnum import (EQUAL, GREATER, LESS, PowerProduct, least_integer_greater,
-                            ordering_name, pp_compare, pp_floor, pp_is_integer)
+                            ordering_name, pp_floor, pp_is_integer)
 
 
 def pp(*factors):
@@ -55,27 +55,27 @@ class TestCanonicalForm:
 class TestCompare:
     def test_sqrt8_below_3(self):
         # 2^3 = 8 < 3^2 = 9
-        assert pp_compare(pp((2, Fr(3, 2))), PowerProduct.of_int(3)) == LESS
+        assert pp((2, Fr(3, 2))).compare(PowerProduct.of_int(3)) == LESS
 
     def test_exponent_addition_equal(self):
-        assert pp_compare(pp((2, Fr(1, 2)), (2, Fr(1, 2))), PowerProduct.of_int(2)) == EQUAL
+        assert pp((2, Fr(1, 2)), (2, Fr(1, 2))).compare(PowerProduct.of_int(2)) == EQUAL
 
     def test_cleared_denominator_example(self):
         # lcm of denominators is 6: 3^8 * 2 = 13122 < 5^6 = 15625
-        assert pp_compare(pp((3, Fr(4, 3)), (2, Fr(1, 6))), PowerProduct.of_int(5)) == LESS
+        assert pp((3, Fr(4, 3)), (2, Fr(1, 6))).compare(PowerProduct.of_int(5)) == LESS
 
     def test_antisymmetry_names(self):
         a, b = pp((2, Fr(3, 2))), PowerProduct.of_int(3)
-        assert pp_compare(a, b) == -pp_compare(b, a)
-        assert ordering_name(pp_compare(a, b)) == "less"
-        assert ordering_name(pp_compare(b, a)) == "greater"
+        assert a.compare(b) == -b.compare(a)
+        assert ordering_name(a.compare(b)) == "less"
+        assert ordering_name(b.compare(a)) == "greater"
 
     def test_value_equality_across_forms(self):
         # structurally different, equal as reals
         assert pp((4, 1)) != pp((2, 2))
-        assert pp_compare(pp((4, 1)), pp((2, 2))) == EQUAL
-        assert pp_compare(pp((4, Fr(1, 2))), pp((2, 1))) == EQUAL
-        assert pp_compare(pp((12, Fr(1, 2)), (3, Fr(1, 2))), pp((6, 1))) == EQUAL
+        assert pp((4, 1)).compare(pp((2, 2))) == EQUAL
+        assert pp((4, Fr(1, 2))).compare(pp((2, 1))) == EQUAL
+        assert pp((12, Fr(1, 2)), (3, Fr(1, 2))).compare(pp((6, 1))) == EQUAL
         assert bigint_compare(pp((12, Fr(1, 2)), (3, Fr(1, 2))), pp((6, 1))) == EQUAL
 
     def test_bit_budget(self):
@@ -86,20 +86,20 @@ class TestCompare:
         with pytest.raises(ResourceLimitError):
             bigint_compare(a, b)
         assert bigint_compare(a, b, bit_budget=4 * 10 ** 7) == EQUAL
-        assert pp_compare(a, b, bit_budget=64) == EQUAL
+        assert a.compare(b, bit_budget=64) == EQUAL
 
     def test_interval_bit_budget(self):
         # 24727/15601 is a convergent of log2(3): the float screen cannot
         # separate these, so the log interval decides under the budget
         a, b = pp((2, 24727)), pp((3, 15601))
         with pytest.raises(ResourceLimitError):
-            pp_compare(a, b, bit_budget=100)
-        assert pp_compare(a, b) == GREATER
+            a.compare(b, bit_budget=100)
+        assert a.compare(b) == GREATER
         assert bigint_compare(a, b) == GREATER
 
     def test_wide_gap_huge_values_fast(self):
         # decided by the screen; no big integers materialize
-        assert pp_compare(pp((2, 10 ** 6)), pp((3, 10 ** 6))) == LESS
+        assert pp((2, 10 ** 6)).compare(pp((3, 10 ** 6))) == LESS
 
     def test_huge_base_fast(self):
         # no factoring: a 133-bit base is refined and compared in milliseconds
@@ -109,7 +109,7 @@ class TestCompare:
                  (big * pp((7, Fr(1, 3))), PowerProduct.of_int(10 ** 40) * pp((7, Fr(1, 3))),
                   GREATER)]
         t0 = time.perf_counter()
-        got = [pp_compare(a, b) for a, b, _ in cases]
+        got = [a.compare(b) for a, b, _ in cases]
         elapsed = time.perf_counter() - t0
         assert got == [want for _, _, want in cases]
         assert got == [bigint_compare(a, b) for a, b, _ in cases]
@@ -158,9 +158,9 @@ def test_compare_agrees_with_256bit_floats(a, b):
         gap = la - lb
         if abs(gap) > mpmath.mpf("1e-30"):
             want = 1 if gap > 0 else -1
-            assert pp_compare(a, b) == want
+            assert a.compare(b) == want
         else:
-            assert pp_compare(a, b) == EQUAL
+            assert a.compare(b) == EQUAL
 
 
 @settings(max_examples=150, deadline=None)
@@ -169,21 +169,21 @@ def test_floor_sandwich(x):
     f = pp_floor(x)
     assert f >= 0
     if f > 0:
-        assert pp_compare(PowerProduct.of_int(f), x) <= 0
-    assert pp_compare(x, PowerProduct.of_int(f + 1)) == LESS
+        assert PowerProduct.of_int(f).compare(x) <= 0
+    assert x.compare(PowerProduct.of_int(f + 1)) == LESS
 
 
 @settings(max_examples=150, deadline=None)
 @given(_products, _products)
 def test_compare_antisymmetric(a, b):
-    assert pp_compare(a, b) == -pp_compare(b, a)
+    assert a.compare(b) == -b.compare(a)
 
 
 @settings(max_examples=100, deadline=None)
 @given(_products, _products, _products)
 def test_equal_transitive(a, b, c):
-    if pp_compare(a, b) == EQUAL and pp_compare(b, c) == EQUAL:
-        assert pp_compare(a, c) == EQUAL
+    if a.compare(b) == EQUAL and b.compare(c) == EQUAL:
+        assert a.compare(c) == EQUAL
 
 
 @settings(max_examples=150, deadline=None)
@@ -191,7 +191,7 @@ def test_equal_transitive(a, b, c):
 def test_agrees_with_bigint_oracle(a, b):
     """compare, pp_floor and pp_is_integer match the big-integer path."""
     budget = 10 ** 8
-    assert pp_compare(a, b) == bigint_compare(a, b, bit_budget=budget)
+    assert a.compare(b) == bigint_compare(a, b, bit_budget=budget)
     f = pp_floor(a)
     if f > 0:
         assert bigint_compare(PowerProduct.of_int(f), a, bit_budget=budget) <= 0
@@ -206,6 +206,6 @@ def test_rewritten_bases_stay_equal(x):
     """b^e written as (b^2)^(e/2) is the same real: EQUAL, same floor, same
     integrality."""
     y = PowerProduct((b * b, e / 2) for b, e in x.factors)
-    assert pp_compare(x, y) == EQUAL
+    assert x.compare(y) == EQUAL
     assert pp_floor(x) == pp_floor(y)
     assert pp_is_integer(x) == pp_is_integer(y)

@@ -6,9 +6,18 @@ import pytest
 
 from rtlab.errors import ContractViolationError, ResourceLimitError
 from rtlab.graphs import (Graph, GraphFormatError, complete, complete_multipartite,
-                          count_cliques_bruteforce, k_cliques, max_lpartite,
-                          parse_graph6, turan_graph, write_graph6)
+                          k_cliques, max_lpartite, parse_graph6, turan_graph,
+                          write_graph6)
 from rtlab.thresholds import turan_ex
+
+
+def count_cliques_bruteforce(g: Graph, k: int) -> int:
+    """Independent all-subsets completeness test; cross-check for k_cliques."""
+    cnt = 0
+    for sub in combinations(range(g.n), k):
+        if all(g.has_edge(u, v) for u, v in combinations(sub, 2)):
+            cnt += 1
+    return cnt
 
 
 def all_graphs(n):

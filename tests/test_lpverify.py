@@ -6,7 +6,7 @@ from math import comb
 import pytest
 
 from rtlab.errors import ContractViolationError
-from rtlab.exactnum import EQUAL, PowerProduct, pp_compare
+from rtlab.exactnum import EQUAL, PowerProduct
 from rtlab import lpverify as lpv
 from rtlab import thresholds as th
 
@@ -160,8 +160,8 @@ class TestCertify:
                     tuple(c for i, c in enumerate(lp.rows) if i != drop),
                     lp.variables, lp.include_e1)
                 rcert = lpv.certify(relaxed, lpv.claimed_solution(k, s))
-                assert pp_compare(rcert.vertex_max, cert.vertex_max) >= 0
-                assert pp_compare(rcert.vertex_max, _vertex_oracle(relaxed)[0]) == EQUAL
+                assert rcert.vertex_max.compare(cert.vertex_max) >= 0
+                assert rcert.vertex_max.compare(_vertex_oracle(relaxed)[0]) == EQUAL
 
 
 def _mid_high_lp(k, s):
@@ -175,7 +175,7 @@ def _vertex_oracle(lp):
     vertices, _ = lpv.enumerate_vertices(lp)
     values = [lpv.objective_value(dict(zip(dims, v))) for v in vertices]
     best = max(values, key=PowerProduct.log2)
-    assert all(pp_compare(v, best) <= 0 for v in values)
+    assert all(v.compare(best) <= 0 for v in values)
     return best, vertices
 
 
@@ -185,7 +185,7 @@ class TestMidHighVertices:
         cert = lpv.certify(lp, {})
         assert cert.feasible and not cert.optimal
         # the certified maximum strictly dominates the empty point
-        assert pp_compare(cert.vertex_max, PowerProduct.one()) > 0
+        assert cert.vertex_max.compare(PowerProduct.one()) > 0
 
     def test_claimed_point_is_case_bases_upper(self):
         for k in range(4, 11):
@@ -206,7 +206,7 @@ class TestDualCertificate:
         for lp in lps:
             best, vertices = _vertex_oracle(lp)
             cert = lpv.certify(lp, {})
-            assert pp_compare(cert.vertex_max, best) == EQUAL, (lp.k, lp.s, lp.variant)
+            assert cert.vertex_max.compare(best) == EQUAL, (lp.k, lp.s, lp.variant)
             assert cert.argmax_vertex in vertices
 
     def test_lowered_multiplier_fails(self):

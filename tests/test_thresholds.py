@@ -1,5 +1,6 @@
 """Threshold formulas: Turan numbers, regimes, r0/r1, tables."""
 
+import json
 from fractions import Fraction as Fr
 from math import comb
 
@@ -7,6 +8,7 @@ import pytest
 
 from rtlab.errors import ContractViolationError
 from rtlab.exactnum import PowerProduct
+from rtlab import cli
 from rtlab import thresholds as th
 from rtlab.thresholds import Regime
 
@@ -222,13 +224,17 @@ class TestReportAndTables:
         assert table.marker(4, 4) == ""
         assert table.marker(5, 8) == ""
 
-    def test_serializations(self):
-        table = th.emit_tables([4])
-        md = th.table_markdown(table, "r0")
+    def test_serializations(self, capsys):
+        # the table's md, csv and json forms are rendered by the CLI
+        def table(fmt):
+            assert cli.main(["thresholds", "table", "--k", "4", "--format", fmt]) == 0
+            return capsys.readouterr().out
+
+        md = table("md").split("\n\n")[0]   # the r0 grid
         assert "222" + th.ASTERISK in md
-        csv = th.table_csv(table)
+        csv = table("csv")
         assert "4,5,222,7,MID" in csv
-        cells = th.table_json_obj(table)
+        cells = json.loads(table("json"))["result"]["cells"]
         cell = next(c for c in cells if c["s"] == 5)
         assert cell["marker"] == th.ASTERISK and cell["r0"] == "222"
         # s = 2 has no r1 column entry

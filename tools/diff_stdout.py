@@ -5,9 +5,9 @@ Usage (from the repository root):
     python3 tools/diff_stdout.py [--drop-key KEY ...] OLD_SRC NEW_SRC
 
 OLD_SRC and NEW_SRC are the ``src`` directories of two checkouts.  Every
-``thresholds`` and ``lp`` operation of the benchmark (perfbench/workloads.py)
-runs through ``rtlab.cli.main`` once per tree, each tree in its own
-interpreter.  The script prints the exit codes that changed and the
+``thresholds``, ``lp`` and ``count`` operation of the benchmark
+(perfbench/workloads.py: thresholds-grid, lp-certify and census-scan) runs
+through ``rtlab.cli.main`` once per tree, each tree in its own interpreter.  The script prints the exit codes that changed and the
 operations whose stdout differs where both trees exited 0, and exits 1 when
 any stdout differs.  Each ``--drop-key KEY`` removes that top-level key of
 the JSON ``result`` before hashing, so outputs can be compared apart from
@@ -27,7 +27,7 @@ from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("thresholds-grid", "lp-certify")
+WORKLOADS = ("thresholds-grid", "lp-certify", "census-scan")
 
 
 def _without(text: str, drop: list[str]) -> str:
