@@ -19,9 +19,11 @@ from __future__ import annotations
 import json
 import time
 import warnings
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, perm
+from operator import lshift
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -33,6 +35,9 @@ from .thresholds import turan_ex
 DEFAULT_COLORING_BUDGET = 10 ** 8
 DEFAULT_NODE_BUDGET = 10 ** 9
 DEFAULT_SPLIT_DEPTH = 4
+#: states a census frontier may hold; a larger one is counted in slices, so
+#: memory stays bounded at any node budget
+_FRONTIER_CAP = 1 << 16
 _CHUNK = 1 << 16
 
 if TYPE_CHECKING:   # numpy is imported where it is used: only brute-force counting loads it
@@ -157,100 +162,202 @@ def count_brute(g: Graph, k: int, s: int, r: int,
 
 
 # -- census construction -----------------------------------------------------------
+#
+# The census counts restricted growth strings (RGS): labellings of the edges,
+# in the graph's lexicographic edge order, in which a new block takes the next
+# unused label.  They form a tree: a node at depth e with nb blocks in use has
+# nb + [nb < t_max] children, one per label edge e may take, and a child dies
+# when some k-clique would show s labels.  The tree is counted layer by layer by
+# a frontier DP over the same edge order, without visiting its nodes.
+#
+# A clique is open at depth e when its first edge comes before e and its last
+# edge at or after e.  Later edges see the labels so far only through the label
+# sets of the open cliques, so a state is those sets plus nb, and its value is
+# the number of RGS prefixes that reach it.  An open clique keeps one slot for
+# its lifetime: slot x is the width-bit field at bit x * width of the state's
+# body, and bit l of the field says that the clique holds label l.  A key packs
+# nb | u << NB | body << 2 * NB, where NB = t_max.bit_length() and u counts the
+# labels that open cliques hold.  States that admit the same futures share a key:
+#   * labels are renamed by sorting their signatures (the bit-0 positions of the
+#     slots that hold them); labels no open clique holds are interchangeable and
+#     number nb - u;
+#   * a clique that cannot reach s labels (labels + remaining edges <= s - 1) is
+#     dropped, and so is one whose label set and remaining edges are subsets of
+#     another live clique's, as that clique reaches s labels whenever it does.
+#     A dropped clique stays dropped: its field stays empty;
+#   * cliques with identical remaining edges are interchangeable, so their
+#     fields are sorted.
 
-def _enumerate_partitions(m, s, t_max, cliques_of, coeffs, budget, counter,
-                          prefix=(), collect_prefixes=None):
-    """Depth-first walk of restricted growth strings over the edges.
+def _frontier_plan(g: Graph, k: int, s: int, width: int):
+    """The per-edge constants of the DP, as (steps, ones, width).
 
-    Block labels appear in first-use order; a branch dies as soon as some
-    clique touches s distinct blocks or the block count would pass t_max.
-    With collect_prefixes set to a depth d, the walk stops at depth d and
-    records the surviving prefixes instead of tallying leaves.
+    ones has bit 0 of every slot set.  steps[e] labels edge e and holds, as
+    masks over the slot fields:
+      hit    bit 0 of each slot whose clique contains edge e;
+      born   bit 0 of each slot whose clique starts at edge e;
+      keep   every bit of each slot whose clique is still open at depth e + 1;
+      short  (marks, j): marks the cliques open at depth e + 1 with s - j
+             remaining edges, which are dropped unless they hold j labels;
+      pairs  (shift of x, shift of y, mask clearing x) for open cliques x != y,
+             one of them in hit, with x's remaining edges a subset of y's;
+      swaps  a compare-exchange network that sorts the fields of each group of
+             open cliques with identical remaining edges.
     """
-    ncl = max((max(cl) + 1 for cl in cliques_of if cl), default=0)
-    cl_mask = [0] * ncl
-    cl_cnt = [0] * ncl
+    field = (1 << width) - 1
+    masks = [mask for _, mask in k_cliques(g, k)]
+    starts = [[] for _ in range(g.m)]
+    for c, mask in enumerate(masks):
+        if mask & (mask - 1):   # a one-edge clique never shows two labels
+            starts[(mask & -mask).bit_length() - 1].append(c)
+    slot, free, nslots, steps = {}, [], 0, []
+    for e in range(g.m):
+        for c in starts[e]:
+            if free:
+                slot[c] = free.pop()
+            else:
+                slot[c] = nslots
+                nslots += 1
+        hit = {c for c in slot if masks[c] >> e & 1}
+        rem = {c: masks[c] >> (e + 1) for c in slot if masks[c] >> (e + 1)}
+        base = {c: slot[c] * width for c in slot}
+        short = []
+        for j in range(2, s):
+            marks = sum(1 << base[c] for c, r in rem.items() if r.bit_count() == s - j)
+            if marks:
+                short.append((marks, j))
+        pairs = tuple((base[x], base[y], ~(field << base[x]))
+                      for x in rem for y in rem
+                      if x != y and (x in hit or y in hit) and not rem[x] & ~rem[y])
+        groups = {}
+        for c, r in rem.items():
+            groups.setdefault(r, []).append(base[c])
+        swaps = []
+        for shifts in groups.values():   # odd-even transposition sort
+            shifts.sort()
+            for rnd in range(len(shifts)):
+                swaps += ((shifts[i], shifts[i + 1])
+                          for i in range(rnd % 2, len(shifts) - 1, 2))
+        steps.append((sum(1 << base[c] for c in hit),
+                      sum(1 << base[c] for c in starts[e]),
+                      sum(field << base[c] for c in rem),
+                      tuple(short), pairs, tuple(swaps)))
+        for c in [c for c in slot if c not in rem]:   # cliques whose last edge is e
+            free.append(slot.pop(c))
+    return steps, sum(1 << x * width for x in range(nslots)), width
+
+
+def _layer(plan, frontier: dict, e: int, t_max: int, s: int, node_budget: int,
+           nodes: int) -> tuple[dict, int]:
+    """Label edge e in every state of frontier (a dict that is consumed).
+
+    Returns the frontier at depth e + 1 and nodes plus the RGS tree nodes
+    that give edge e a label, raising ResourceLimitError when that total
+    exceeds node_budget.
+    """
+    steps, ones, width = plan
+    hit, born, keep, short, pairs, swaps = steps[e]
+    nbits = t_max.bit_length()
+    low = (1 << nbits) - 1
+    shift = 2 * nbits
+    field = (1 << width) - 1
     cap = s - 1
+    down = range(cap, 0, -1)
+    nxt = {}
+    get = nxt.get
+    while frontier:   # popping frees each state once it is expanded
+        key, w = frontier.popitem()
+        nb = key & low
+        u = key >> nbits & low
+        body = key >> shift
+        nodes += w * (nb + (nb < t_max))
+        sigs = [body >> label & ones for label in range(u)]
+        at = [ones] + [0] * cap   # at[j]: slots whose clique holds >= j labels
+        for sig in sigs:
+            for j in down:
+                at[j] |= at[j - 1] & sig
+        full = at[cap] & hit      # any label they lack would be their s-th
+        live = hit & (at[1] | born)
+        moves = []   # [label, weight, signature]; weight 0: a label no open clique holds
+        for label, sig in enumerate(sigs):
+            if not full & ~sig:
+                if moves and moves[-1][2] == sig:
+                    moves[-1][1] += w
+                else:
+                    moves.append([label, w, sig])
+        if not full and (nb > u or nb < t_max):
+            moves.append([u, 0, 0])
+        for label, weight, sig in moves:
+            b = (body | live << label) & keep
+            if short:
+                gained = live & ~sig
+                drop = 0
+                for marks, j in short:
+                    drop |= marks & ~(at[j] & ~gained | at[j - 1] & gained)
+                if drop:
+                    b &= ~(drop * field)
+            for sx, sy, clear in pairs:
+                a = b >> sx & field
+                if a:
+                    c = b >> sy & field
+                    if c and not a & ~c:
+                        b &= clear
+            held = sorted(filter(None, [b >> i & ones for i in range(u + (label == u))]))
+            b = sum(map(lshift, held, range(len(held))))
+            for sx, sy in swaps:
+                a = b >> sx & field
+                c = b >> sy & field
+                if a > c:
+                    a ^= c
+                    b ^= a << sx | a << sy
+            child = b << shift | len(held) << nbits
+            if weight:
+                child |= nb
+                nxt[child] = get(child, 0) + weight
+                continue
+            if nb > u:
+                nxt[child | nb] = get(child | nb, 0) + w * (nb - u)
+            if nb < t_max:
+                nxt[child | nb + 1] = get(child | nb + 1, 0) + w
+    if nodes > node_budget:
+        raise ResourceLimitError(f"census node budget {node_budget} exceeded")
+    return nxt, nodes
 
-    nblocks = 0
-    for e, b in enumerate(prefix):   # re-apply a frozen prefix (parallel workers)
-        bit = 1 << b
-        for ci in cliques_of[e]:
-            if not cl_mask[ci] & bit:
-                if cl_cnt[ci] >= cap:
-                    raise ContractViolationError("infeasible census prefix")
-                cl_mask[ci] |= bit
-                cl_cnt[ci] += 1
-        if b == nblocks:
-            nblocks += 1
 
-    stop_depth = collect_prefixes[0] if collect_prefixes else m
-    labels = list(prefix) + [0] * (m - len(prefix))
+def _count(plan, frontier: dict, depth: int, t_max: int, s: int, node_budget: int,
+           nodes: int) -> tuple[list[int], int]:
+    """Coefficients a_0..a_{t_max} of the leaves below frontier, a dict of
+    states at depth, and nodes plus the tree nodes on the way.
 
-    def rec(e, nb):
-        if e == stop_depth:
-            if collect_prefixes:
-                collect_prefixes[1].append(tuple(labels[:e]))
-            else:
-                coeffs[nb] += 1
-            return
-        nodes = counter[0]
-        col = cliques_of[e]
-        for b in range(nb + 1 if nb < t_max else t_max):
-            nodes += 1
-            if col:
-                bit = 1 << b
-                touched = []
-                bad = False
-                for ci in col:
-                    if not cl_mask[ci] & bit:
-                        if cl_cnt[ci] >= cap:
-                            bad = True
-                            break
-                        touched.append(ci)
-                if bad:
-                    continue
-                for ci in touched:
-                    cl_mask[ci] |= bit
-                    cl_cnt[ci] += 1
-                labels[e] = b
-                counter[0] = nodes
-                rec(e + 1, nb + (b == nb))
-                nodes = counter[0]
-                for ci in touched:
-                    cl_mask[ci] &= ~bit
-                    cl_cnt[ci] -= 1
-            else:
-                labels[e] = b
-                counter[0] = nodes
-                rec(e + 1, nb + (b == nb))
-                nodes = counter[0]
-        counter[0] = nodes
-        if nodes > budget:
-            raise ResourceLimitError(
-                f"census node budget {budget} exceeded")
-
-    rec(len(prefix), nblocks)
-
-
-def _cliques_per_edge(g: Graph, k: int) -> list[list[int]]:
-    cliques = k_cliques(g, k)
-    out = [[] for _ in range(g.m)]
-    for ci, (_, mask) in enumerate(cliques):
-        for e in range(g.m):
-            if mask >> e & 1:
-                out[e].append(ci)
-    return out
+    A frontier of more than _FRONTIER_CAP states is dealt into two halves,
+    counted one after the other.  They add exactly, and the node total still
+    only grows, so each layer's check gives the budget decision.
+    """
+    m = len(plan[0])
+    low = (1 << t_max.bit_length()) - 1
+    coeffs = [0] * (t_max + 1)
+    pending = [(depth, frontier)]
+    while pending:
+        depth, frontier = pending.pop()
+        while depth < m and len(frontier) <= _FRONTIER_CAP:
+            frontier, nodes = _layer(plan, frontier, depth, t_max, s, node_budget, nodes)
+            depth += 1
+        if depth < m:
+            items = list(frontier.items())
+            del frontier
+            half = len(items) // 2
+            pending += [(depth, dict(items[half:])), (depth, dict(items[:half]))]
+            continue
+        for key, w in frontier.items():
+            coeffs[key & low] += w
+    return coeffs, nodes
 
 
 def _census_task(args):
-    g6, k, s, t_max, prefix, budget = args
+    g6, k, s, t_max, depth, frontier, node_budget, nodes = args
     g = parse_graph6(g6)
-    coeffs = [0] * (t_max + 1)
-    counter = [0]
-    _enumerate_partitions(g.m, s, t_max, _cliques_per_edge(g, k), coeffs,
-                          budget, counter, prefix=prefix)
-    return coeffs, counter[0]
+    coeffs, total = _count(_frontier_plan(g, k, s, t_max), frontier, depth, t_max, s,
+                           node_budget, nodes)
+    return coeffs, total - nodes
 
 
 def build_census(g: Graph, k: int, s: int, t_max: int | None = None,
@@ -258,10 +365,12 @@ def build_census(g: Graph, k: int, s: int, t_max: int | None = None,
                  split_depth: int = DEFAULT_SPLIT_DEPTH) -> CensusPolynomial:
     """Tally a_t for t in [1, t_max] over all admissible edge partitions.
 
-    With jobs > 1 the tree is split at a fixed depth into independent
-    subtree tasks whose coefficient vectors and node counts are merged by
-    addition, so the result, and whether the node budget is exceeded, are
-    identical to the sequential walk.
+    nodes_visited is the node count of the RGS tree, the unit of node_budget,
+    which the DP computes without visiting the nodes; the census raises
+    ResourceLimitError exactly when it exceeds node_budget.  With jobs > 1
+    the DP runs to split_depth and deals that frontier into one slice per
+    job; slices' coefficients and node counts add, so the result and the
+    budget decision are those of jobs = 1.
     """
     if s < 2:
         raise ContractViolationError(f"census needs s >= 2, got {s}")
@@ -270,31 +379,28 @@ def build_census(g: Graph, k: int, s: int, t_max: int | None = None,
         t_max = max(1, min(m, 16))
     if t_max < 1:
         raise ContractViolationError(f"t_max must be >= 1, got {t_max}")
-    cliques_of = _cliques_per_edge(g, k)
-    coeffs = [0] * (t_max + 1)
-    counter = [0]
+    plan = _frontier_plan(g, k, s, t_max)
     if jobs <= 1 or m <= split_depth:
-        _enumerate_partitions(m, s, t_max, cliques_of, coeffs, node_budget, counter)
+        coeffs, nodes = _count(plan, {0: 1}, 0, t_max, s, node_budget, 0)
     else:
-        sink = (split_depth, [])
-        _enumerate_partitions(m, s, t_max, cliques_of, coeffs, node_budget,
-                              counter, collect_prefixes=sink)
-        tasks = [(g.graph6, k, s, t_max, pre, node_budget) for pre in sink[1]]
         from concurrent.futures import ProcessPoolExecutor
 
+        frontier, nodes = {0: 1}, 0
+        for e in range(split_depth):
+            frontier, nodes = _layer(plan, frontier, e, t_max, s, node_budget, nodes)
+        items = list(frontier.items())
+        tasks = [(g.graph6, k, s, t_max, split_depth, dict(items[i::jobs]), node_budget, nodes)
+                 for i in range(min(jobs, len(items)))]
+        coeffs = [0] * (t_max + 1)
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for part, nodes in pool.map(_census_task, tasks, chunksize=8):
-                for t in range(t_max + 1):
-                    coeffs[t] += part[t]
-                counter[0] += nodes
-        if counter[0] > node_budget:   # each task checks only its own share
+            for part, more in pool.map(_census_task, tasks):
+                coeffs = [a + b for a, b in zip(coeffs, part)]
+                nodes += more
+        if nodes > node_budget:   # each task checks only its own share
             raise ResourceLimitError(f"census node budget {node_budget} exceeded")
-    coefficients = {t: a for t, a in enumerate(coeffs) if a}
-    if m == 0:
-        coefficients = {0: 1}
     return CensusPolynomial(k=k, s=s, graph_id=g.graph6, t_max=t_max,
-                            coefficients=coefficients, m=m,
-                            nodes_visited=counter[0])
+                            coefficients={t: a for t, a in enumerate(coeffs) if a}, m=m,
+                            nodes_visited=nodes)
 
 
 def evaluate(poly: CensusPolynomial, r: int) -> CountResult:
@@ -499,7 +605,13 @@ class CensusCache:
     def __init__(self, path):
         self.path = Path(path)
         self._entries: dict[tuple, CensusPolynomial] = {}
+        self._t_maxes: dict[tuple, list[int]] = {}   # (graph6, k, s) -> sorted t_max values
         self._load()
+
+    def _add(self, poly: CensusPolynomial):
+        if poly.key() not in self._entries:
+            insort(self._t_maxes.setdefault(poly.key()[:3], []), poly.t_max)
+        self._entries[poly.key()] = poly
 
     def _load(self):
         from . import __version__
@@ -517,18 +629,16 @@ class CensusCache:
                     warnings.warn(f"{self.path}:{lineno}: skipping corrupted cache line ({exc})")
                     continue
                 if obj.get("tool_version") == __version__:   # never reuse another version's work
-                    self._entries[poly.key()] = poly
+                    self._add(poly)
 
     def get(self, graph_id: str, k: int, s: int, t_max: int) -> CensusPolynomial | None:
         return self._entries.get((graph_id, k, s, t_max))
 
     def find_at_least(self, graph_id: str, k: int, s: int, t_min: int) -> CensusPolynomial | None:
-        best = None
-        for (gid, kk, ss, tm), poly in self._entries.items():
-            if gid == graph_id and kk == k and ss == s and tm >= t_min:
-                if best is None or tm < best.t_max:
-                    best = poly
-        return best
+        """The stored polynomial with the smallest t_max >= t_min, if any."""
+        t_maxes = self._t_maxes.get((graph_id, k, s), [])
+        i = bisect_left(t_maxes, t_min)
+        return self._entries[(graph_id, k, s, t_maxes[i])] if i < len(t_maxes) else None
 
     def put(self, poly: CensusPolynomial) -> bool:
         """Append the polynomial unless its key is already stored."""
@@ -538,5 +648,5 @@ class CensusCache:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with open(self.path, "a", encoding="utf-8") as fh:
             fh.write(json.dumps(poly.to_json_obj(__version__)) + "\n")
-        self._entries[poly.key()] = poly
+        self._add(poly)
         return True

@@ -69,28 +69,34 @@ def _part_sizes(text: str) -> list[int]:
 
 
 def _load_config_file(path) -> dict:
-    out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ContractViolationError(f"config line {raw!r} is not key = value")
-            key, val = (x.strip() for x in line.split("=", 1))
-            out[key.replace("-", "_")] = val
-    return out
+    """The shared options a config file sets, checked with the flags' own
+    types and choices; an unreadable file or a bad value is a usage error."""
+    argv = []
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for raw in fh:
+                line = raw.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                if "=" not in line:
+                    raise ContractViolationError(f"config line {raw!r} is not key = value")
+                key, val = (x.strip() for x in line.split("=", 1))
+                if key.replace("-", "_") in DEFAULTS:
+                    argv.append(f"--{key.replace('_', '-')}={val}")
+    except OSError as exc:
+        raise _UsageError(f"cannot read config file {path}: {exc.strerror}") from None
+    try:
+        values = vars(_option_parser().parse_args(argv))
+    except _UsageError as exc:
+        raise _UsageError(f"config file {path}: {exc}") from None
+    return {key: val for key, val in values.items() if val is not None}
 
 
 def _effective_config(args) -> dict:
     """defaults < config file < RTL_CACHE env < explicit flags."""
     cfg = dict(DEFAULTS)
     if getattr(args, "config", None):
-        for key, val in _load_config_file(args.config).items():
-            if key in ("threads", "node_budget", "coloring_budget", "seed"):
-                cfg[key] = int(val)
-            elif key in cfg:
-                cfg[key] = val
+        cfg.update(_load_config_file(args.config))
     if os.environ.get("RTL_CACHE"):
         cfg["cache"] = os.environ["RTL_CACHE"]
     for key in DEFAULTS:
@@ -316,6 +322,14 @@ def _add_common(p):
     p.add_argument("--cache", default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--config", default=None)
+
+
+@functools.cache
+def _option_parser() -> _Parser:
+    """A parser of the options every command shares, for config files."""
+    parser = _Parser(prog="rtlab", add_help=False)
+    _add_common(parser)
+    return parser
 
 
 @functools.cache

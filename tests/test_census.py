@@ -1,16 +1,21 @@
 """Census engine: brute oracle, partition enumeration, cache, scans."""
 
+import itertools
 import math
+import random
 import warnings
 from math import comb
 
 import pytest
 
+from rtlab import census
 from rtlab.census import CensusCache, build_census, compare_vs_turan, \
     count_brute, count_colorings, evaluate, extremal_scan, integer_partitions, \
     question2_ratio
 from rtlab.errors import ContractViolationError, ResourceLimitError
 from rtlab.graphs import Graph, complete, complete_multipartite, turan_graph
+
+from census_walk_oracle import walk_census
 
 
 def stirling2(n, k):
@@ -99,9 +104,47 @@ class TestCensus:
         assert evaluate(poly, 9).value == 1
 
 
+def _same_as_walk(g, k, s, t_max, jobs=1):
+    """The DP's coefficients and node count are the walk's, and its budget
+    decision flips exactly at that node count."""
+    want = walk_census(g, k, s, t_max, node_budget=10 ** 9)
+    poly = build_census(g, k, s, t_max=t_max, node_budget=want[1], jobs=jobs)
+    assert (poly.coefficients, poly.nodes_visited) == want, (g.graph6, k, s, t_max)
+    if g.m:
+        with pytest.raises(ResourceLimitError):
+            build_census(g, k, s, t_max=t_max, node_budget=want[1] - 1, jobs=jobs)
+
+
+class TestWalkOracle:
+    def test_every_graph_up_to_5_vertices(self):
+        for n in range(1, 6):
+            pairs = list(itertools.combinations(range(n), 2))
+            for mask in range(1 << len(pairs)):
+                g = Graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+                for k, s in ((3, 2), (3, 3), (4, 2), (4, 3), (4, 4), (4, 5), (5, 4), (5, 7)):
+                    _same_as_walk(g, k, s, max(1, min(g.m, 16)))
+
+    def test_seeded_graphs_on_6_and_7_vertices(self):
+        rng = random.Random(6)
+        ks = ((3, 2), (3, 3), (4, 2), (4, 3), (4, 4), (5, 3), (5, 4))
+        for i in range(30):
+            n = 6 + i % 2
+            k, s = ks[i % len(ks)]
+            edges = set()
+            while len(edges) < 9:   # a union of random k-cliques
+                edges |= set(itertools.combinations(sorted(rng.sample(range(n), k)), 2))
+            _same_as_walk(Graph(n, edges), k, s, max(s, 3) + i % 2, jobs=2 if i == 3 else 1)
+
+    def test_frontier_counted_in_slices(self, monkeypatch):
+        # a frontier above the cap is split and its halves counted one by one
+        monkeypatch.setattr(census, "_FRONTIER_CAP", 3)
+        for g, k, s, t_max in ((K5, 4, 3, 10), (K5, 3, 3, 6), (K4, 4, 4, 6),
+                               (complete_multipartite([2, 2, 1]), 3, 2, 8)):
+            _same_as_walk(g, k, s, t_max)
+
+
 class TestOracleAgreement:
     def test_random_small_graphs(self):
-        import random
         rng = random.Random(5)
         for _ in range(40):
             n = rng.randint(2, 6)
@@ -204,6 +247,23 @@ class TestCache:
         cache.put(build_census(K4, 4, 4, t_max=6))
         assert cache.find_at_least(K4.graph6, 4, 4, 3) is not None
         assert cache.find_at_least(K4.graph6, 4, 4, 7) is None
+
+    def test_find_at_least_takes_smallest_sufficient_t_max(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        cache = CensusCache(path)
+        for t in (5, 2, 8):
+            cache.put(build_census(K4, 4, 4, t_max=t))
+        cache.put(build_census(K5, 4, 4, t_max=3))   # other graph
+        cache.put(build_census(K4, 4, 3, t_max=4))   # other s
+        cache.put(build_census(K4, 3, 4, t_max=6))   # other k
+        for reopened in (cache, CensusCache(path)):
+            found = [reopened.find_at_least(K4.graph6, 4, 4, t) for t in range(1, 10)]
+            assert [p and (p.graph_id, p.k, p.s, p.t_max) for p in found] == \
+                [(K4.graph6, 4, 4, t) for t in (2, 2, 5, 5, 5, 8, 8, 8)] + [None]
+            assert reopened.find_at_least(K5.graph6, 4, 4, 1).t_max == 3
+            assert reopened.find_at_least(K5.graph6, 4, 4, 4) is None
+            assert reopened.find_at_least(K4.graph6, 4, 3, 3).t_max == 4
+            assert reopened.find_at_least(K4.graph6, 3, 4, 3).t_max == 6
 
     def test_corrupt_lines_skipped_with_warning(self, tmp_path):
         path = tmp_path / "c.jsonl"

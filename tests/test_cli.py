@@ -188,6 +188,25 @@ class TestConfigLayers:
                          "--r", "2", "--config", str(cfg), "--format", "md")
         assert out2.startswith("# rtlab")
 
+    def _bad_config(self, capsys, path):
+        code, out, err = run(capsys, "thresholds", "--k", "4", "--s", "5", "--config", str(path))
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("usage error:") and str(path) in err
+        return err
+
+    def test_config_value_of_wrong_type_usage(self, capsys, tmp_path):
+        cfg = tmp_path / "rtlab.cfg"
+        cfg.write_text("threads = x\n")
+        assert "invalid int value: 'x'" in self._bad_config(capsys, cfg)
+
+    def test_config_value_outside_choices_usage(self, capsys, tmp_path):
+        cfg = tmp_path / "rtlab.cfg"
+        cfg.write_text("format = xml\n")
+        assert "invalid choice: 'xml'" in self._bad_config(capsys, cfg)
+
+    def test_missing_config_file_usage(self, capsys, tmp_path):
+        assert "No such file" in self._bad_config(capsys, tmp_path / "absent.cfg")
+
     def test_env_cache_override(self, capsys, tmp_path, monkeypatch):
         cache_path = tmp_path / "env.jsonl"
         monkeypatch.setenv("RTL_CACHE", str(cache_path))

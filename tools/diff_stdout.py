@@ -7,11 +7,12 @@ Usage (from the repository root):
 OLD_SRC and NEW_SRC are the ``src`` directories of two checkouts.  Every
 ``thresholds``, ``lp`` and ``count`` operation of the benchmark
 (perfbench/workloads.py: thresholds-grid, lp-certify and census-scan) runs
-through ``rtlab.cli.main`` once per tree, each tree in its own interpreter.  The script prints the exit codes that changed and the
-operations whose stdout differs where both trees exited 0, and exits 1 when
-any stdout differs.  Each ``--drop-key KEY`` removes that top-level key of
-the JSON ``result`` before hashing, so outputs can be compared apart from
-fields one tree adds or drops.
+through ``rtlab.cli.main`` once per tree, each tree in its own interpreter.
+The script prints the exit codes that changed and the operations whose
+stdout differs where both trees exited 0, and exits 1 when any stdout
+differs or any exit code changed.  Each ``--drop-key KEY`` removes that
+top-level key of the JSON ``result`` before hashing, so outputs can be
+compared apart from fields one tree adds or drops.
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ def main() -> int:
     print(f"{both_ok} ops exit 0 in both trees; stdout differs in {len(differ)}")
     for k in differ:
         print(f"  differs: {k}")
-    return 1 if differ else 0
+    return 1 if differ or changed_rc else 0
 
 
 if __name__ == "__main__":
