@@ -35,9 +35,12 @@ from .thresholds import turan_ex
 DEFAULT_COLORING_BUDGET = 10 ** 8
 DEFAULT_NODE_BUDGET = 10 ** 9
 DEFAULT_SPLIT_DEPTH = 4
-#: states a census frontier may hold; a larger one is counted in slices, so
-#: memory stays bounded at any node budget
-_FRONTIER_CAP = 1 << 16
+#: bytes of state keys a census frontier may hold; a larger frontier is counted
+#: in slices, so memory stays bounded at any node budget
+_FRONTIER_BYTES = 1 << 23
+#: open cliques above which a layer skips the pair and group rules of the
+#: census DP, whose cost per move grows with the square of that number
+_RULES_MAX_OPEN = 64
 _CHUNK = 1 << 16
 
 if TYPE_CHECKING:   # numpy is imported where it is used: only brute-force counting loads it
@@ -198,10 +201,11 @@ def _frontier_plan(g: Graph, k: int, s: int, width: int):
       keep   every bit of each slot whose clique is still open at depth e + 1;
       short  (marks, j): marks the cliques open at depth e + 1 with s - j
              remaining edges, which are dropped unless they hold j labels;
-      pairs  (shift of x, shift of y, mask clearing x) for open cliques x != y,
-             one of them in hit, with x's remaining edges a subset of y's;
+      pairs  (shift of x, shift of y) for open cliques x != y, one of them in
+             hit, with x's remaining edges a subset of y's;
       swaps  a compare-exchange network that sorts the fields of each group of
              open cliques with identical remaining edges.
+    pairs and swaps are empty where more than _RULES_MAX_OPEN cliques are open.
     """
     field = (1 << width) - 1
     masks = [mask for _, mask in k_cliques(g, k)]
@@ -225,13 +229,12 @@ def _frontier_plan(g: Graph, k: int, s: int, width: int):
             marks = sum(1 << base[c] for c, r in rem.items() if r.bit_count() == s - j)
             if marks:
                 short.append((marks, j))
-        pairs = tuple((base[x], base[y], ~(field << base[x]))
-                      for x in rem for y in rem
-                      if x != y and (x in hit or y in hit) and not rem[x] & ~rem[y])
-        groups = {}
-        for c, r in rem.items():
-            groups.setdefault(r, []).append(base[c])
-        swaps = []
+        pairs, swaps, groups = (), [], {}
+        if len(rem) <= _RULES_MAX_OPEN:
+            pairs = tuple((base[x], base[y]) for x in rem for y in rem
+                          if x != y and (x in hit or y in hit) and not rem[x] & ~rem[y])
+            for c, r in rem.items():
+                groups.setdefault(r, []).append(base[c])
         for shifts in groups.values():   # odd-even transposition sort
             shifts.sort()
             for rnd in range(len(shifts)):
@@ -295,12 +298,12 @@ def _layer(plan, frontier: dict, e: int, t_max: int, s: int, node_budget: int,
                     drop |= marks & ~(at[j] & ~gained | at[j - 1] & gained)
                 if drop:
                     b &= ~(drop * field)
-            for sx, sy, clear in pairs:
+            for sx, sy in pairs:
                 a = b >> sx & field
                 if a:
                     c = b >> sy & field
                     if c and not a & ~c:
-                        b &= clear
+                        b &= ~(field << sx)
             held = sorted(filter(None, [b >> i & ones for i in range(u + (label == u))]))
             b = sum(map(lshift, held, range(len(held))))
             for sx, sy in swaps:
@@ -328,17 +331,22 @@ def _count(plan, frontier: dict, depth: int, t_max: int, s: int, node_budget: in
     """Coefficients a_0..a_{t_max} of the leaves below frontier, a dict of
     states at depth, and nodes plus the tree nodes on the way.
 
-    A frontier of more than _FRONTIER_CAP states is dealt into two halves,
-    counted one after the other.  They add exactly, and the node total still
-    only grows, so each layer's check gives the budget decision.
+    The states held at once, in the frontier and in slices waiting their
+    turn, are kept to about _FRONTIER_BYTES of keys: a frontier above its
+    share is dealt into two halves, counted one after the other.  Slices add
+    exactly, and the node total still only grows, so each layer's check
+    gives the budget decision.
     """
-    m = len(plan[0])
+    steps, ones, width = plan
+    m = len(steps)
+    most = 8 * _FRONTIER_BYTES // (ones.bit_length() + width + 2 * t_max.bit_length())
     low = (1 << t_max.bit_length()) - 1
     coeffs = [0] * (t_max + 1)
-    pending = [(depth, frontier)]
+    pending, waiting = [(depth, frontier)], len(frontier)
     while pending:
         depth, frontier = pending.pop()
-        while depth < m and len(frontier) <= _FRONTIER_CAP:
+        waiting -= len(frontier)
+        while depth < m and len(frontier) <= max(2, most - waiting):
             frontier, nodes = _layer(plan, frontier, depth, t_max, s, node_budget, nodes)
             depth += 1
         if depth < m:
@@ -346,6 +354,7 @@ def _count(plan, frontier: dict, depth: int, t_max: int, s: int, node_budget: in
             del frontier
             half = len(items) // 2
             pending += [(depth, dict(items[half:])), (depth, dict(items[:half]))]
+            waiting += len(items)
             continue
         for key, w in frontier.items():
             coeffs[key & low] += w

@@ -137,9 +137,15 @@ class TestWalkOracle:
 
     def test_frontier_counted_in_slices(self, monkeypatch):
         # a frontier above the cap is split and its halves counted one by one
-        monkeypatch.setattr(census, "_FRONTIER_CAP", 3)
+        monkeypatch.setattr(census, "_FRONTIER_BYTES", 1)   # two states at most
         for g, k, s, t_max in ((K5, 4, 3, 10), (K5, 3, 3, 6), (K4, 4, 4, 6),
                                (complete_multipartite([2, 2, 1]), 3, 2, 8)):
+            _same_as_walk(g, k, s, t_max)
+
+    def test_layers_without_pair_and_group_rules(self, monkeypatch):
+        monkeypatch.setattr(census, "_RULES_MAX_OPEN", 0)
+        for g, k, s, t_max in ((K5, 4, 3, 10), (K5, 3, 3, 6),
+                               (complete_multipartite([3, 2, 1]), 3, 3, 6)):
             _same_as_walk(g, k, s, t_max)
 
 
