@@ -38,9 +38,10 @@ DEFAULT_SPLIT_DEPTH = 4
 #: bytes of state keys a census frontier may hold; a larger frontier is counted
 #: in slices, so memory stays bounded at any node budget
 _FRONTIER_BYTES = 1 << 23
-#: open cliques above which a layer skips the pair and group rules of the
-#: census DP, whose cost per move grows with the square of that number
-_RULES_MAX_OPEN = 64
+#: loop steps a census plan may spend on its pair and group rules; an edge whose
+#: rules would pass what is left gets none, so planning stays cheap when
+#: thousands of cliques are open
+_PLAN_RULES = 1 << 17
 _CHUNK = 1 << 16
 
 if TYPE_CHECKING:   # numpy is imported where it is used: only brute-force counting loads it
@@ -205,7 +206,7 @@ def _frontier_plan(g: Graph, k: int, s: int, width: int):
              hit, with x's remaining edges a subset of y's;
       swaps  a compare-exchange network that sorts the fields of each group of
              open cliques with identical remaining edges.
-    pairs and swaps are empty where more than _RULES_MAX_OPEN cliques are open.
+    pairs and swaps are empty on the edges past the _PLAN_RULES loop steps.
     """
     field = (1 << width) - 1
     masks = [mask for _, mask in k_cliques(g, k)]
@@ -213,7 +214,7 @@ def _frontier_plan(g: Graph, k: int, s: int, width: int):
     for c, mask in enumerate(masks):
         if mask & (mask - 1):   # a one-edge clique never shows two labels
             starts[(mask & -mask).bit_length() - 1].append(c)
-    slot, free, nslots, steps = {}, [], 0, []
+    slot, free, nslots, steps, spare = {}, [], 0, [], _PLAN_RULES
     for e in range(g.m):
         for c in starts[e]:
             if free:
@@ -229,17 +230,22 @@ def _frontier_plan(g: Graph, k: int, s: int, width: int):
             marks = sum(1 << base[c] for c, r in rem.items() if r.bit_count() == s - j)
             if marks:
                 short.append((marks, j))
-        pairs, swaps, groups = (), [], {}
-        if len(rem) <= _RULES_MAX_OPEN:
-            pairs = tuple((base[x], base[y]) for x in rem for y in rem
-                          if x != y and (x in hit or y in hit) and not rem[x] & ~rem[y])
-            for c, r in rem.items():
-                groups.setdefault(r, []).append(base[c])
-        for shifts in groups.values():   # odd-even transposition sort
-            shifts.sort()
-            for rnd in range(len(shifts)):
-                swaps += ((shifts[i], shifts[i + 1])
-                          for i in range(rnd % 2, len(shifts) - 1, 2))
+        groups = {}
+        for c, r in rem.items():
+            groups.setdefault(r, []).append(base[c])
+        touched = [c for c in rem if c in hit]
+        cost = (len(touched) * (2 * len(rem) - len(touched))   # iterations of the loops below
+                + sum(len(shifts) ** 2 for shifts in groups.values()) // 2)
+        pairs, swaps = (), []
+        if cost <= spare:
+            spare -= cost
+            pairs = tuple((base[x], base[y]) for x in rem for y in (rem if x in hit else touched)
+                          if x != y and not rem[x] & ~rem[y])
+            for shifts in groups.values():   # odd-even transposition sort
+                shifts.sort()
+                for rnd in range(len(shifts)):
+                    swaps += ((shifts[i], shifts[i + 1])
+                              for i in range(rnd % 2, len(shifts) - 1, 2))
         steps.append((sum(1 << base[c] for c in hit),
                       sum(1 << base[c] for c in starts[e]),
                       sum(field << base[c] for c in rem),
@@ -250,15 +256,17 @@ def _frontier_plan(g: Graph, k: int, s: int, width: int):
 
 
 def _layer(plan, frontier: dict, e: int, t_max: int, s: int, node_budget: int,
-           nodes: int) -> tuple[dict, int]:
+           nodes: int, rules: bool = True) -> tuple[dict, int]:
     """Label edge e in every state of frontier (a dict that is consumed).
 
     Returns the frontier at depth e + 1 and nodes plus the RGS tree nodes
     that give edge e a label, raising ResourceLimitError when that total
-    exceeds node_budget.
+    exceeds node_budget.  With rules false it skips the pair and group rules.
     """
     steps, ones, width = plan
     hit, born, keep, short, pairs, swaps = steps[e]
+    if not rules:
+        pairs = swaps = ()
     nbits = t_max.bit_length()
     low = (1 << nbits) - 1
     shift = 2 * nbits
@@ -335,21 +343,24 @@ def _count(plan, frontier: dict, depth: int, t_max: int, s: int, node_budget: in
     turn, are kept to about _FRONTIER_BYTES of keys: a frontier above its
     share is dealt into two halves, counted one after the other.  Slices add
     exactly, and the node total still only grows, so each layer's check
-    gives the budget decision.
+    gives the budget decision.  The pair and group rules only serve merges,
+    which slices lose between them, so the layers after the first split
+    skip them.
     """
     steps, ones, width = plan
     m = len(steps)
     most = 8 * _FRONTIER_BYTES // (ones.bit_length() + width + 2 * t_max.bit_length())
     low = (1 << t_max.bit_length()) - 1
     coeffs = [0] * (t_max + 1)
-    pending, waiting = [(depth, frontier)], len(frontier)
+    pending, waiting, whole = [(depth, frontier)], len(frontier), True
     while pending:
         depth, frontier = pending.pop()
         waiting -= len(frontier)
         while depth < m and len(frontier) <= max(2, most - waiting):
-            frontier, nodes = _layer(plan, frontier, depth, t_max, s, node_budget, nodes)
+            frontier, nodes = _layer(plan, frontier, depth, t_max, s, node_budget, nodes, whole)
             depth += 1
         if depth < m:
+            whole = False
             items = list(frontier.items())
             del frontier
             half = len(items) // 2
@@ -405,7 +416,7 @@ def build_census(g: Graph, k: int, s: int, t_max: int | None = None,
             for part, more in pool.map(_census_task, tasks):
                 coeffs = [a + b for a, b in zip(coeffs, part)]
                 nodes += more
-        if nodes > node_budget:   # each task checks only its own share
+        if nodes > node_budget:   # a task checks the prefix plus its own share; only the sum decides
             raise ResourceLimitError(f"census node budget {node_budget} exceeded")
     return CensusPolynomial(k=k, s=s, graph_id=g.graph6, t_max=t_max,
                             coefficients={t: a for t, a in enumerate(coeffs) if a}, m=m,

@@ -142,8 +142,10 @@ class TestWalkOracle:
                                (complete_multipartite([2, 2, 1]), 3, 2, 8)):
             _same_as_walk(g, k, s, t_max)
 
-    def test_layers_without_pair_and_group_rules(self, monkeypatch):
-        monkeypatch.setattr(census, "_RULES_MAX_OPEN", 0)
+    @pytest.mark.parametrize("spare", [0, 60])
+    def test_plan_rules_cut_short(self, monkeypatch, spare):
+        # edges past the plan's rule budget skip the pair and group rules
+        monkeypatch.setattr(census, "_PLAN_RULES", spare)
         for g, k, s, t_max in ((K5, 4, 3, 10), (K5, 3, 3, 6),
                                (complete_multipartite([3, 2, 1]), 3, 3, 6)):
             _same_as_walk(g, k, s, t_max)
