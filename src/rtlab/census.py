@@ -17,14 +17,17 @@ equal on a large corpus by the test suite.
 from __future__ import annotations
 
 import json
+import os
 import time
 import warnings
 from bisect import bisect_left, insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import partial
 from math import comb, perm
 from operator import lshift
 from pathlib import Path
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from .errors import ContractViolationError, ResourceLimitError
@@ -34,7 +37,6 @@ from .thresholds import turan_ex
 
 DEFAULT_COLORING_BUDGET = 10 ** 8
 DEFAULT_NODE_BUDGET = 10 ** 9
-DEFAULT_SPLIT_DEPTH = 4
 #: bytes of state keys a census frontier may hold; a larger frontier is counted
 #: in slices, so memory stays bounded at any node budget
 _FRONTIER_BYTES = 1 << 23
@@ -372,25 +374,13 @@ def _count(plan, frontier: dict, depth: int, t_max: int, s: int, node_budget: in
     return coeffs, nodes
 
 
-def _census_task(args):
-    g6, k, s, t_max, depth, frontier, node_budget, nodes = args
-    g = parse_graph6(g6)
-    coeffs, total = _count(_frontier_plan(g, k, s, t_max), frontier, depth, t_max, s,
-                           node_budget, nodes)
-    return coeffs, total - nodes
-
-
 def build_census(g: Graph, k: int, s: int, t_max: int | None = None,
-                 node_budget: int = DEFAULT_NODE_BUDGET, jobs: int = 1,
-                 split_depth: int = DEFAULT_SPLIT_DEPTH) -> CensusPolynomial:
+                 node_budget: int = DEFAULT_NODE_BUDGET) -> CensusPolynomial:
     """Tally a_t for t in [1, t_max] over all admissible edge partitions.
 
     nodes_visited is the node count of the RGS tree, the unit of node_budget,
     which the DP computes without visiting the nodes; the census raises
-    ResourceLimitError exactly when it exceeds node_budget.  With jobs > 1
-    the DP runs to split_depth and deals that frontier into one slice per
-    job; slices' coefficients and node counts add, so the result and the
-    budget decision are those of jobs = 1.
+    ResourceLimitError exactly when it exceeds node_budget.
     """
     if s < 2:
         raise ContractViolationError(f"census needs s >= 2, got {s}")
@@ -399,25 +389,7 @@ def build_census(g: Graph, k: int, s: int, t_max: int | None = None,
         t_max = max(1, min(m, 16))
     if t_max < 1:
         raise ContractViolationError(f"t_max must be >= 1, got {t_max}")
-    plan = _frontier_plan(g, k, s, t_max)
-    if jobs <= 1 or m <= split_depth:
-        coeffs, nodes = _count(plan, {0: 1}, 0, t_max, s, node_budget, 0)
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        frontier, nodes = {0: 1}, 0
-        for e in range(split_depth):
-            frontier, nodes = _layer(plan, frontier, e, t_max, s, node_budget, nodes)
-        items = list(frontier.items())
-        tasks = [(g.graph6, k, s, t_max, split_depth, dict(items[i::jobs]), node_budget, nodes)
-                 for i in range(min(jobs, len(items)))]
-        coeffs = [0] * (t_max + 1)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for part, more in pool.map(_census_task, tasks):
-                coeffs = [a + b for a, b in zip(coeffs, part)]
-                nodes += more
-        if nodes > node_budget:   # a task checks the prefix plus its own share; only the sum decides
-            raise ResourceLimitError(f"census node budget {node_budget} exceeded")
+    coeffs, nodes = _count(_frontier_plan(g, k, s, t_max), {0: 1}, 0, t_max, s, node_budget, 0)
     return CensusPolynomial(k=k, s=s, graph_id=g.graph6, t_max=t_max,
                             coefficients={t: a for t, a in enumerate(coeffs) if a}, m=m,
                             nodes_visited=nodes)
@@ -442,7 +414,7 @@ def evaluate(poly: CensusPolynomial, r: int) -> CountResult:
 def count_colorings(g: Graph, k: int, s: int, r: int, method: str = "auto",
                     node_budget: int = DEFAULT_NODE_BUDGET,
                     coloring_budget: int = DEFAULT_COLORING_BUDGET,
-                    jobs: int = 1, cache: "CensusCache | None" = None) -> CountResult:
+                    cache: "CensusCache | None" = None) -> CountResult:
     """Count admissible colorings; auto picks the cheapest sound route.
 
     Shortcuts: with r < s no coloring can show s distinct colors on any
@@ -461,13 +433,18 @@ def count_colorings(g: Graph, k: int, s: int, r: int, method: str = "auto",
         if not k_cliques(g, k):
             return CountResult(r ** g.m, r, k, s, g.graph6,
                                METHOD_TRIVIAL_KFREE, time.perf_counter() - t0, 0)
-    t_need = max(1, min(g.m, max(16, r)))
+    t_need = _census_t_max(g, r)
     poly = cache.find_at_least(g.graph6, k, s, t_need) if cache else None
     if poly is None:
-        poly = build_census(g, k, s, t_max=t_need, node_budget=node_budget, jobs=jobs)
+        poly = build_census(g, k, s, t_max=t_need, node_budget=node_budget)
         if cache:
             cache.put(poly)
-    return evaluate(poly, r)
+    return replace(evaluate(poly, r), elapsed=time.perf_counter() - t0)
+
+
+def _census_t_max(g: Graph, r: int) -> int:
+    """The census t_max for r colors: at least 16, to serve r <= 16, and at most m."""
+    return max(1, min(g.m, max(16, r)))
 
 
 def compare_vs_turan(g: Graph, k: int, s: int, r: int, **kwargs):
@@ -551,12 +528,32 @@ class ScanResult:
         }
 
 
+def _scan_row(n, k, s, r, turan_count, count_kwargs, task):
+    """One unranked scan row and the census it built or None, for the parent
+    to cache; task is (graph, parts, the parent's cached census or None)."""
+    g, parts, found = task
+    if g.n != n:
+        return ScanRow(g.graph6, parts, None, None, None,
+                       error=f"graph has {g.n} vertices, scan is for n = {n}"), None
+    built = []
+    cache = SimpleNamespace(find_at_least=lambda *key: found, put=built.append)
+    try:
+        res = count_colorings(g, k, s, r, cache=cache, **count_kwargs)
+    except ResourceLimitError as exc:
+        return ScanRow(g.graph6, parts, None, None, None, error=str(exc)), None
+    vs = (res.value > turan_count) - (res.value < turan_count)
+    return ScanRow(g.graph6, parts, res.value, res.method, vs), built[0] if built else None
+
+
 def extremal_scan(n: int, k: int, s: int, r: int,
                   family: str = "complete_multipartite",
                   graphs: list[Graph] | None = None,
-                  graph6_path=None, **count_kwargs) -> ScanResult:
+                  graph6_path=None, jobs: int = 1, cache: "CensusCache | None" = None,
+                  **count_kwargs) -> ScanResult:
     """Count a graph family exactly and rank it; per-graph budget errors are
-    recorded on their row and the scan continues."""
+    recorded on their row and the scan continues.  With jobs > 1 a pool of up
+    to jobs processes counts the rows, each under its own budget, and they
+    return in input order, so the result does not depend on jobs."""
     if family == "complete_multipartite":
         items = [(complete_multipartite(parts), parts) for parts in integer_partitions(n)]
     elif family == "graph6_file":
@@ -565,27 +562,29 @@ def extremal_scan(n: int, k: int, s: int, r: int,
     else:
         raise ContractViolationError(f"unknown scan family {family!r}")
     turan_count = r ** turan_ex(n, k)
+    tasks = [(g, parts, cache and cache.find_at_least(g.graph6, k, s, _census_t_max(g, r)))
+             for g, parts in items]
+    count_row = partial(_scan_row, n, k, s, r, turan_count, count_kwargs)
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            done = list(pool.map(count_row, tasks))
+    else:
+        done = map(count_row, tasks)
     rows = []
-    for g, parts in items:
-        if g.n != n:
-            rows.append(ScanRow(g.graph6, parts, None, None, None,
-                                error=f"graph has {g.n} vertices, scan is for n = {n}"))
-            continue
-        try:
-            res = count_colorings(g, k, s, r, **count_kwargs)
-        except ResourceLimitError as exc:
-            rows.append(ScanRow(g.graph6, parts, None, None, None, error=str(exc)))
-            continue
-        vs = (res.value > turan_count) - (res.value < turan_count)
-        rows.append(ScanRow(g.graph6, parts, res.value, res.method, vs))
+    for scan_row, poly in done:
+        rows.append(scan_row)
+        if cache and poly:
+            cache.put(poly)
     good = [row for row in rows if row.value is not None]
     bad = [row for row in rows if row.value is None]
     good.sort(key=lambda row: (-row.value, row.parts or (), row.graph_id))
     counts = {}
     for row in good:
         counts[row.value] = counts.get(row.value, 0) + 1
-    rank = 0
-    prev = None
+    rank, prev = 0, None
     for i, row in enumerate(good):
         if row.value != prev:
             rank = i + 1

@@ -59,6 +59,17 @@ def _int_range(text: str) -> range:
     return values
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of --threads: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return value
+
+
 def _part_sizes(text: str) -> list[int]:
     """argparse type of --parts: "3,2,2" -> [3, 2, 2]."""
     try:
@@ -182,9 +193,8 @@ def _run_thresholds(args, cfg) -> _Output:
 
 
 def _census_kwargs(cfg) -> dict:
-    """Budgets, worker count and cache of every census-backed command."""
+    """Budgets and cache of every census-backed command."""
     return {"node_budget": cfg["node_budget"], "coloring_budget": cfg["coloring_budget"],
-            "jobs": cfg["threads"],
             "cache": census.CensusCache(cfg["cache"]) if cfg["cache"] else None}
 
 
@@ -227,7 +237,7 @@ def _run_scan(args, cfg) -> _Output:
     res = census.extremal_scan(
         args.n, args.k, args.s, args.r,
         family="graph6_file" if args.file else "complete_multipartite",
-        graph6_path=args.file, **_census_kwargs(cfg))
+        graph6_path=args.file, jobs=cfg["threads"], **_census_kwargs(cfg))
     md = [f"scan n={res.n} k={res.k} s={res.s} r={res.r} "
           f"(reference count {res.turan_count})"]
     csv = ["rank,graph6,parts,value,vs_turan,tied,error".split(",")]
@@ -316,7 +326,8 @@ def _required_ints(p, names: str) -> None:
 
 def _add_common(p):
     p.add_argument("--format", choices=("md", "csv", "json"), default=None)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=_positive_int, default=None,
+                   help="processes that count scan rows")
     p.add_argument("--node-budget", dest="node_budget", type=int, default=None)
     p.add_argument("--coloring-budget", dest="coloring_budget", type=int, default=None)
     p.add_argument("--cache", default=None)

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import time
 import warnings
 from math import comb
 
@@ -86,33 +87,26 @@ class TestCensus:
         with pytest.raises(ResourceLimitError):
             build_census(T36, 4, 3, t_max=12, node_budget=1000)
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_node_budget_is_global(self, jobs):
-        # the walk visits 1,525 nodes; the budget decision must not depend on jobs
-        assert build_census(K5, 4, 3, t_max=5, jobs=jobs, node_budget=1525).nodes_visited == 1525
+    def test_node_budget_is_exact(self):
+        # the walk visits 1,525 nodes; a budget of exactly that passes
+        assert build_census(K5, 4, 3, t_max=5, node_budget=1525).nodes_visited == 1525
         with pytest.raises(ResourceLimitError):
-            build_census(K5, 4, 3, t_max=5, jobs=jobs, node_budget=1524)
-
-    def test_parallel_matches_sequential(self):
-        g = complete_multipartite([2, 2, 2])
-        seq = build_census(g, 4, 3, t_max=8)
-        par = build_census(g, 4, 3, t_max=8, jobs=3)
-        assert seq.coefficients == par.coefficients
+            build_census(K5, 4, 3, t_max=5, node_budget=1524)
 
     def test_empty_graph(self):
         poly = build_census(Graph(2), 3, 2)
         assert evaluate(poly, 9).value == 1
 
 
-def _same_as_walk(g, k, s, t_max, jobs=1):
+def _same_as_walk(g, k, s, t_max):
     """The DP's coefficients and node count are the walk's, and its budget
     decision flips exactly at that node count."""
     want = walk_census(g, k, s, t_max, node_budget=10 ** 9)
-    poly = build_census(g, k, s, t_max=t_max, node_budget=want[1], jobs=jobs)
+    poly = build_census(g, k, s, t_max=t_max, node_budget=want[1])
     assert (poly.coefficients, poly.nodes_visited) == want, (g.graph6, k, s, t_max)
     if g.m:
         with pytest.raises(ResourceLimitError):
-            build_census(g, k, s, t_max=t_max, node_budget=want[1] - 1, jobs=jobs)
+            build_census(g, k, s, t_max=t_max, node_budget=want[1] - 1)
 
 
 class TestWalkOracle:
@@ -133,7 +127,7 @@ class TestWalkOracle:
             edges = set()
             while len(edges) < 9:   # a union of random k-cliques
                 edges |= set(itertools.combinations(sorted(rng.sample(range(n), k)), 2))
-            _same_as_walk(Graph(n, edges), k, s, max(s, 3) + i % 2, jobs=2 if i == 3 else 1)
+            _same_as_walk(Graph(n, edges), k, s, max(s, 3) + i % 2)
 
     def test_frontier_counted_in_slices(self, monkeypatch):
         # a frontier above the cap is split and its halves counted one by one
@@ -187,6 +181,16 @@ class TestAutoStrategy:
         assert res.method == "census"
         assert res.value == count_brute(K4, 4, 3, 3).value
 
+    def test_elapsed_includes_the_census(self, monkeypatch):
+        real = census.build_census
+
+        def slow(*args, **kwargs):
+            time.sleep(0.05)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(census, "build_census", slow)
+        assert count_colorings(K4, 4, 3, 3).elapsed >= 0.05
+
 
 class TestCompareVsTuran:
     def test_turan_graph_itself(self):
@@ -233,6 +237,32 @@ class TestScan:
         path.write_text("\n".join([complete(4).graph6, turan_graph(4, 3).graph6]) + "\n")
         res = extremal_scan(4, 3, 2, 2, family="graph6_file", graph6_path=path)
         assert res.top.value == 16
+
+    def test_pool_size_is_capped(self, monkeypatch):
+        # a fake executor records its size and maps in-process: no process starts
+        import concurrent.futures
+
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(census.os, "cpu_count", lambda: 4)
+        want = extremal_scan(6, 3, 3, 5, node_budget=2000).to_dict()
+        assert extremal_scan(6, 3, 3, 5, node_budget=2000, jobs=10 ** 6).to_dict() == want
+        assert sizes == [4]
+        assert extremal_scan(3, 3, 2, 2, jobs=10 ** 6).rows and sizes == [4, 3]
 
 
 class TestCache:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,8 @@ import pytest
 
 from rtlab.cli import (EXIT_CHECK_FAILED, EXIT_CONTRACT, EXIT_OK, EXIT_RESOURCE,
                        EXIT_USAGE, main)
+
+from test_golden import CASES
 
 
 def run(capsys, *argv):
@@ -60,6 +63,8 @@ class TestThresholds:
         "thresholds --k 4..6 --s 3",
         "pairs --k 4..z",
         "count --parts 2,a --k 3 --s 2 --r 2",
+        "scan --n 4 --k 3 --s 2 --r 2 --threads 0",
+        "count --complete 3 --k 3 --s 2 --r 2 --threads -2",
     ])
     def test_malformed_values_usage(self, capsys, argv):
         code, out, err = run(capsys, *argv.split())
@@ -117,6 +122,38 @@ class TestDeterminism:
         _, out, _ = run(capsys, "count", "--complete", "4", "--k", "4", "--s", "4",
                         "--r", "2", "--format", "json")
         assert json.loads(out)["result"]["value"] == "64"   # decimal string, not int
+
+
+class TestScanThreads:
+    """Rows counted by a pool give the same bytes as rows counted in turn."""
+
+    @pytest.mark.parametrize("case", ["scan", "scan-budget-rows"])
+    def test_result_independent_of_threads(self, capsys, monkeypatch, case):
+        monkeypatch.delenv("RTL_CACHE", raising=False)
+        outs = {}
+        for threads in ("1", "2"):
+            for fmt in ("json", "md"):
+                code, outs[threads, fmt], _ = run(capsys, *shlex.split(CASES[case]),
+                                                  "--threads", threads, "--format", fmt)
+                assert code == EXIT_OK
+        assert json.loads(outs["1", "json"])["result"] == json.loads(outs["2", "json"])["result"]
+        md1, md2 = (outs[t, "md"].splitlines() for t in ("1", "2"))
+        assert md1[1].startswith("# config: ") and "threads=1" in md1[1]
+        assert md1[:1] + md1[2:] == md2[:1] + md2[2:]
+
+    def test_cache_file_independent_of_threads(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.delenv("RTL_CACHE", raising=False)
+        files = {}
+        for threads in ("1", "2"):
+            path = tmp_path / f"cache{threads}.jsonl"
+            args = ("scan", "--n", "5", "--k", "3", "--s", "3", "--r", "3",
+                    "--cache", str(path), "--threads", threads)
+            code, first, _ = run(capsys, *args)
+            files[threads] = path.read_bytes()
+            code2, second, _ = run(capsys, *args)
+            assert code == code2 == EXIT_OK and first == second
+            assert path.read_bytes() == files[threads]   # the second run appends nothing
+        assert files["1"] == files["2"] and files["1"].count(b"\n") > 1
 
 
 class TestLpAndPairs:
@@ -199,6 +236,11 @@ class TestConfigLayers:
         cfg.write_text("threads = x\n")
         assert "invalid int value: 'x'" in self._bad_config(capsys, cfg)
 
+    def test_config_threads_not_positive_usage(self, capsys, tmp_path):
+        cfg = tmp_path / "rtlab.cfg"
+        cfg.write_text("threads = -1\n")
+        assert "'-1' is not a positive integer" in self._bad_config(capsys, cfg)
+
     def test_config_value_outside_choices_usage(self, capsys, tmp_path):
         cfg = tmp_path / "rtlab.cfg"
         cfg.write_text("format = xml\n")
@@ -253,6 +295,8 @@ class TestProcess:
         assert json.loads(proc.stdout)["result"]["r0"] == "222"
 
     def test_cli_import_leaves_numpy_unloaded(self):
-        # numpy serves only the brute-force oracle and is imported there
-        proc = _python("-c", "import sys, rtlab.cli; print('numpy' in sys.modules)")
-        assert proc.returncode == 0 and proc.stdout.strip() == "False"
+        # numpy serves only the brute-force oracle and the process pool only
+        # scans with --threads above 1; each is imported where it is used
+        proc = _python("-c", "import sys, rtlab.cli; "
+                       "print('numpy' in sys.modules, 'concurrent.futures' in sys.modules)")
+        assert proc.returncode == 0 and proc.stdout.strip() == "False False"

@@ -6,8 +6,10 @@ Usage (from the repository root):
 
 OLD_SRC and NEW_SRC are the ``src`` directories of two checkouts.  Every
 ``thresholds``, ``lp`` and ``count`` operation of the benchmark
-(perfbench/workloads.py: thresholds-grid, lp-certify and census-scan) runs
-through ``rtlab.cli.main`` once per tree, each tree in its own interpreter.
+(perfbench/workloads.py: thresholds-grid, lp-certify and census-scan), plus
+the two census-scan scans run whole as ``scan ... --threads 2 --format json``,
+519 ops in all, runs through ``rtlab.cli.main`` once per tree, each tree in
+its own interpreter.
 The script prints the exit codes that changed and the operations whose
 stdout differs where both trees exited 0, and exits 1 when any stdout
 differs or any exit code changed.  Each ``--drop-key KEY`` removes that
@@ -45,16 +47,20 @@ def dump(src: str, drop: list[str]) -> dict:
     import workloads
     from rtlab import cli
 
+    ops = [op for name in WORKLOADS for op in workloads.make_ops(name, 0)]
+    ops += [(f"scan:{n}:{k}:{s}:{r}", "cli",
+             ["scan", "--n", str(n), "--k", str(k), "--s", str(s), "--r", str(r),
+              "--threads", "2", "--format", "json"])
+            for n, k, s, r in workloads.CENSUS_SCANS]
     out = {}
-    for name in WORKLOADS:
-        for op_id, _, argv in workloads.make_ops(name, 0):
-            buf = io.StringIO()
-            with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
-                rc = cli.main(argv)
-            text = buf.getvalue()
-            if drop and rc == 0:
-                text = _without(text, drop)
-            out[op_id] = [rc, hashlib.sha256(text.encode()).hexdigest()]
+    for op_id, _, argv in ops:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+            rc = cli.main(argv)
+        text = buf.getvalue()
+        if drop and rc == 0:
+            text = _without(text, drop)
+        out[op_id] = [rc, hashlib.sha256(text.encode()).hexdigest()]
     return out
 
 
