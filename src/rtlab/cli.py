@@ -255,12 +255,15 @@ def _run_scan(args, cfg) -> _Output:
 
 def _run_lp(args, cfg) -> _Output:
     extra = {}
+    given = (args.p is not None) + (args.j is not None)
     if args.variant == "low":
+        if given:
+            raise _UsageError("--p and --j apply only to --variant mid-high")
         cert = lpverify.certify_low(args.k, args.s)
     else:
-        p, j = args.p, args.j
-        if p is None or j is None:
-            _, (p, j) = thresholds.l_opt(args.k, args.s)
+        if given == 1:
+            raise _UsageError("give both --p and --j, or neither for the L_opt witness")
+        p, j = (args.p, args.j) if given else thresholds.l_opt(args.k, args.s)[1]
         lp = lpverify.build_lp(args.k, args.s, lpverify.VARIANT_MID_HIGH, p=p, j=j)
         cert = lpverify.certify(lp, lpverify.claimed_solution(args.k, args.s, p, j))
         extra["case_bases_ordering"] = lpverify.compare_case_bases(args.k, args.s, p, j)

@@ -62,7 +62,7 @@ def _sign(x) -> int:
 def _as_exponent(e) -> Fraction:
     if isinstance(e, float):
         raise ContractViolationError(f"float exponent {e!r} not accepted; pass a Fraction")
-    return Fraction(e)
+    return e if isinstance(e, Fraction) else Fraction(e)
 
 
 class PowerProduct:
@@ -122,7 +122,7 @@ class PowerProduct:
             other = PowerProduct.of_int(other)
         if not isinstance(other, PowerProduct):
             return NotImplemented
-        return self * other ** -1
+        return PowerProduct(self.factors + tuple((b, -e) for b, e in other.factors))
 
     # -- structural identity -----------------------------------------------------
 

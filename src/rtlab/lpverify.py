@@ -22,7 +22,8 @@ from math import comb
 
 from .errors import ContractViolationError
 from .exactnum import EQUAL, PowerProduct
-from .thresholds import b_param, cap_A, i_star, l_param, r0_base, s0, telescoping_terms
+from .thresholds import b_param, bracket_terms, cap_A, cap_index, i_star, l_param, r0_base, s0, \
+    telescoping_terms
 
 VARIANT_LOW = "LOW"
 VARIANT_MID_HIGH = "MID_HIGH"
@@ -108,7 +109,7 @@ def build_lp(k: int, s: int, variant: str = VARIANT_LOW,
                            variables=tuple(range(2, s)),
                            include_e1=False,
                            free_cap=l_param(k, s, p, j),
-                           free_range=(2, s - cap_A(k, 2) - 1),
+                           free_range=(2, cap_index(k, s)),
                            p=p, j=j)
     raise ContractViolationError(f"unknown variant {variant!r}")
 
@@ -120,7 +121,7 @@ def claimed_solution(k: int, s: int, p: int | None = None,
     LOW (s <= s0) takes the terms through i*; s = 2 has no objective-bearing
     index, so its point is empty with value 1.  MID_HIGH takes the terms
     through k-2 and puts the whole cap l_param(k, s, p, j) on the top index
-    s - A(k, 2) - 1 of the free block, which is case_bases' upper bound.
+    of the free block: thresholds.bracket_terms, as in case_bases' upper bound.
     """
     if k < 4 or not 2 <= s <= comb(k, 2):
         raise ContractViolationError(f"need k >= 4 and 2 <= s <= C(k,2), got {(k, s)}")
@@ -129,9 +130,7 @@ def claimed_solution(k: int, s: int, p: int | None = None,
     if p is None or j is None:
         raise ContractViolationError(
             f"s = {s} is beyond s0(k) = {s0(k)}: the MID_HIGH point needs a witness pair (p, j)")
-    point = dict(telescoping_terms(k, s, k - 2))
-    point[s - cap_A(k, 2) - 1] = l_param(k, s, p, j)
-    return point
+    return dict(bracket_terms(k, s, l_param(k, s, p, j)))
 
 
 def support_indices(k: int, s: int, top_i: int | None = None) -> tuple[int, ...]:
@@ -410,15 +409,12 @@ def certify_low(k: int, s: int) -> LPCertificate:
 
 def case_bases(k: int, s: int, p: int, j: int) -> tuple[PowerProduct, PowerProduct]:
     """The two bracketed bounds that differ only in the net weight (L-2 vs L)
-    on the factor s - A(k,2) - 1."""
+    on the cap index factor (thresholds.bracket_terms)."""
     if s < s0(k):
         raise ContractViolationError(f"case bases need s >= s0(k) = {s0(k)}")
     weight = l_param(k, s, p, j)
-    head = s - cap_A(k, 2) - 1
-    core = telescoping_terms(k, s, k - 2)
-    lower = PowerProduct(core + [(head, weight - 2)])
-    upper = PowerProduct(core + [(head, weight)])
-    return lower, upper
+    return (PowerProduct(bracket_terms(k, s, weight - 2)),
+            PowerProduct(bracket_terms(k, s, weight)))
 
 
 def compare_case_bases(k: int, s: int, p: int, j: int) -> int:

@@ -329,8 +329,8 @@ def pairs_report(k_range=(4, 9), s_min: int = 3) -> dict:
     """Census plus the comparison against the reported list, under both the
     s >= 3 and s >= 4 readings (the reported list says s >= 4 yet includes
     (9, 3); both readings are emitted rather than guessing intent)."""
-    pairs = pairs_census(k_range, s_min)
-    pairs_s3 = pairs_census(k_range, 3)
+    pairs_s3 = pairs_census(k_range, min(s_min, 3))     # raises for s_min < 3
+    pairs = [p for p in pairs_s3 if p[1] >= s_min]
     pairs_s4 = [p for p in pairs_s3 if p[1] >= 4]
     reported = sorted(REPORTED_TIGHT_PAIRS)
     return {

@@ -128,17 +128,24 @@ class RegimeParams:
     i_star: int | None = None
     p_star: int | None = None
     j_star: int | None = None
+    l_opt: Fraction | None = None                   # MID/HIGH bracket weight
+    l_opt_witness: tuple[int, int] | None = None    # the (p, j) it is taken at
 
 
 def regime_params(k: int, s: int) -> RegimeParams:
-    """Regime split for (k, s) plus the witness index the regime needs."""
+    """Regime split for (k, s) plus its witness: i* in LOW; p* and the pair
+    (p*, k-1) in MID, j* and (2, j*) in HIGH, with L_opt = l_param there."""
     _check_ks(k, s)
     lo, hi = s0(k), s1(k)
     if s <= lo:
         return RegimeParams(lo, hi, Regime.LOW, i_star=i_star(k, s))
     if s <= hi:
-        return RegimeParams(lo, hi, Regime.MID, p_star=p_star(k, s))
-    return RegimeParams(lo, hi, Regime.HIGH, j_star=j_star(k, s))
+        p, j = p_star(k, s), k - 1
+        return RegimeParams(lo, hi, Regime.MID, p_star=p,
+                            l_opt=l_param(k, s, p, j), l_opt_witness=(p, j))
+    p, j = 2, j_star(k, s)
+    return RegimeParams(lo, hi, Regime.HIGH, j_star=j,
+                        l_opt=l_param(k, s, p, j), l_opt_witness=(p, j))
 
 
 def telescoping_terms(k: int, s: int, upto_i: int) -> list[tuple[int, Fraction]]:
@@ -154,17 +161,24 @@ def telescoping_terms(k: int, s: int, upto_i: int) -> list[tuple[int, Fraction]]
     return terms
 
 
+def cap_index(k: int, s: int) -> int:
+    """Top index s - A(k, 2) - 1 of the LP's cap block and of the MID/HIGH weight."""
+    return s - cap_A(k, 2) - 1
+
+
+def bracket_terms(k: int, s: int, weight: Fraction) -> list[tuple[int, Fraction]]:
+    """The MID/HIGH bracket: the telescoping terms through k-2 plus weight
+    at cap_index.  r0 and the LP's claimed point take weight L; the case
+    bases take L-2 and L."""
+    return telescoping_terms(k, s, k - 2) + [(cap_index(k, s), weight)]
+
+
 def r0_base(k: int, s: int) -> tuple[PowerProduct, RegimeParams]:
     """The bracketed expression whose least integer above is r0(k, s)."""
     params = regime_params(k, s)
     if params.regime is Regime.LOW:
         return PowerProduct(telescoping_terms(k, s, params.i_star)), params
-    if params.regime is Regime.MID:
-        weight = l_param(k, s, params.p_star, k - 1)
-    else:
-        weight = l_param(k, s, 2, params.j_star)
-    head = PowerProduct(((s - cap_A(k, 2) - 1, weight),))
-    return head * PowerProduct(telescoping_terms(k, s, k - 2)), params
+    return PowerProduct(bracket_terms(k, s, params.l_opt)), params
 
 
 def r0(k: int, s: int) -> int:
@@ -190,28 +204,17 @@ def r1(k: int, s: int) -> int:
 
 
 def l_opt(k: int, s: int) -> tuple[Fraction, tuple[int, int]]:
-    """Minimum l_param over all feasible (p, j), by exhaustive scan.
+    """Minimum l_param over all feasible (p, j), and the pair attaining it.
 
-    Ties prefer larger j, then larger p, so the scan lands on the same
-    witness as the closed-form shortcuts (j = k-1 in the MID range,
-    (2, C(k,2)-s+2) in the HIGH range).
+    It is attained at the witness regime_params picks: (p*, k-1) in the MID
+    range, (2, j*) = (2, C(k,2)-s+2) in the HIGH range.  An exhaustive scan
+    that breaks ties toward larger j, then larger p, lands on the same pair
+    (tests/test_thresholds.py checks it for k <= 30).
     """
-    _check_ks(k, s)
-    if s <= s0(k):
-        raise ContractViolationError(f"l_opt is defined for s > s0(k) = {s0(k)}, got s = {s}")
-    bound = comb(k, 2) - s + 2
-    best = None
-    for p in range(2, k):
-        for j in range(1, k):
-            if b_param(k, p, j) > bound:
-                continue
-            val = l_param(k, s, p, j)
-            key = (val, -j, -p)
-            if best is None or key < best[0]:
-                best = (key, val, (p, j))
-    if best is None:
-        raise ContractViolationError(f"no feasible (p, j) for (k, s) = {(k, s)}")
-    return best[1], best[2]
+    params = regime_params(k, s)
+    if params.regime is Regime.LOW:
+        raise ContractViolationError(f"l_opt is defined for s > s0(k) = {params.s0}, got s = {s}")
+    return params.l_opt, params.l_opt_witness
 
 
 @dataclass(frozen=True)
@@ -254,14 +257,11 @@ class ThresholdReport:
 
 def threshold_report(k: int, s: int) -> ThresholdReport:
     base, params = r0_base(k, s)
-    lopt = witness = None
-    if params.regime is not Regime.LOW:
-        lopt, witness = l_opt(k, s)
     return ThresholdReport(
         k=k, s=s, s0=params.s0, s1=params.s1, regime=params.regime,
         i_star=params.i_star, p_star=params.p_star, j_star=params.j_star,
         base=base, r0=least_integer_greater(base), r1=_r1_value(k, s),
-        l_opt=lopt, l_opt_witness=witness)
+        l_opt=params.l_opt, l_opt_witness=params.l_opt_witness)
 
 
 # -- table emission -----------------------------------------------------------

@@ -173,6 +173,25 @@ class TestLpAndPairs:
         assert res["case_bases_ordering"] <= 0
         assert res["lp"]["p"] == 3 and res["lp"]["j"] == 3
 
+    def test_lp_mid_high_given_witness(self, capsys):
+        code, out, _ = run(capsys, "lp", "--k", "4", "--s", "5", "--variant", "mid-high",
+                           "--p", "2", "--j", "3", "--format", "json")
+        assert code == EXIT_OK
+        res = json.loads(out)["result"]
+        assert (res["lp"]["p"], res["lp"]["j"], res["lp"]["free_cap"]) == (2, 3, "5/1")
+
+    @pytest.mark.parametrize("argv", [
+        ["--s", "5", "--variant", "mid-high", "--p", "2"],
+        ["--s", "5", "--variant", "mid-high", "--j", "3"],
+        ["--s", "3", "--p", "2"],
+        ["--s", "3", "--variant", "low", "--p", "2", "--j", "3"],
+    ])
+    def test_lp_witness_flags_usage(self, capsys, argv):
+        # one of --p/--j alone, or either with the LOW variant, is refused
+        code, out, err = run(capsys, "lp", "--k", "4", *argv)
+        assert code == EXIT_USAGE and out == ""
+        assert "usage error" in err and "--p" in err
+
     def test_pairs(self, capsys):
         code, out, _ = run(capsys, "pairs", "--k", "4..9", "--s-min", "3", "--format", "json")
         assert code == EXIT_OK

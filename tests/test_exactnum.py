@@ -49,6 +49,9 @@ class TestCanonicalForm:
         assert x * x == pp((2, 1))
         assert x ** 4 == pp((2, 2))
         assert (x / x) == PowerProduct.one()
+        y = pp((3, Fr(2, 3)), (2, -1))
+        assert x / y == x * y ** -1 == pp((2, Fr(3, 2)), (3, Fr(-2, 3)))
+        assert x / 4 == pp((2, Fr(1, 2)), (4, -1))
         assert 3 * PowerProduct.one() == pp((3, 1))
 
 

@@ -122,6 +122,13 @@ class TestPairs:
     def test_s_min_guard(self):
         with pytest.raises(ContractViolationError):
             pc.pairs_census((4, 9), 2)
+        with pytest.raises(ContractViolationError):
+            pc.pairs_report((4, 9), 2)
+
+    @pytest.mark.parametrize("s_min", [3, 4, 6])
+    def test_report_pairs_filter_s3_census(self, s_min):
+        rep = pc.pairs_report((4, 7), s_min)
+        assert rep["pairs"] == [list(p) for p in pc.pairs_census((4, 7), s_min)]
 
 
 class TestFindK0:

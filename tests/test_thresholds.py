@@ -9,6 +9,7 @@ import pytest
 from rtlab.errors import ContractViolationError
 from rtlab.exactnum import PowerProduct
 from rtlab import cli
+from rtlab import lpverify as lpv
 from rtlab import thresholds as th
 from rtlab.thresholds import Regime
 
@@ -166,7 +167,45 @@ class TestR1:
             th.r1(4, 2)
 
 
+def _l_opt_scan(k, s):
+    """Oracle for thresholds.l_opt: the minimum l_param over every feasible
+    (p, j), ties toward larger j, then larger p."""
+    bound = comb(k, 2) - s + 2
+    best = None
+    for p in range(2, k):
+        for j in range(1, k):
+            if th.b_param(k, p, j) <= bound:
+                key = (th.l_param(k, s, p, j), -j, -p)
+                best = key if best is None or key < best else best
+    return best[0], (-best[2], -best[1])
+
+
+def _mid_high_cells(k_values):
+    return [(k, s) for k in k_values for s in range(th.s0(k) + 1, comb(k, 2) + 1)]
+
+
 class TestLOpt:
+    def test_closed_form_matches_scan(self):
+        # value and witness, every MID/HIGH cell for k = 4..30
+        for k, s in _mid_high_cells(range(4, 31)):
+            assert th.l_opt(k, s) == _l_opt_scan(k, s), (k, s)
+
+    def test_one_bracket(self):
+        # r0's base, the upper case base and the LP's claimed point are one
+        # product at the L_opt witness, structurally
+        for k, s in _mid_high_cells(range(4, 31)):
+            base, params = th.r0_base(k, s)
+            w = params.l_opt_witness
+            assert (params.l_opt, w) == th.l_opt(k, s)
+            assert base == lpv.case_bases(k, s, *w)[1], (k, s)
+            assert base == lpv.objective_value(lpv.claimed_solution(k, s, *w)), (k, s)
+
+    def test_report_reads_regime_params(self):
+        for k, s in [(4, 5), (6, 15), (9, 20), (9, 36)]:
+            rep, params = th.threshold_report(k, s), th.regime_params(k, s)
+            assert (rep.l_opt, rep.l_opt_witness) == (params.l_opt, params.l_opt_witness)
+            assert rep.to_dict()["l_opt_witness"] == list(params.l_opt_witness)
+
     def test_examples(self):
         assert th.l_opt(4, 5) == (Fr(4), (3, 3))
         assert th.l_opt(6, 15) == (Fr(11), (2, 2))

@@ -8,8 +8,10 @@ OLD_SRC and NEW_SRC are the ``src`` directories of two checkouts.  Every
 ``thresholds``, ``lp`` and ``count`` operation of the benchmark
 (perfbench/workloads.py: thresholds-grid, lp-certify and census-scan), plus
 the two census-scan scans run whole as ``scan ... --threads 2 --format json``,
-519 ops in all, runs through ``rtlab.cli.main`` once per tree, each tree in
-its own interpreter.
+``thresholds table --k 15..30 --format json``, and every ``lp`` cell with
+k <= 30 the benchmark leaves out (LOW k >= 9, MID_HIGH k >= 7), 4,933 ops in
+all, runs through ``rtlab.cli.main`` once per tree, each tree in its own
+interpreter.
 The script prints the exit codes that changed and the operations whose
 stdout differs where both trees exited 0, and exits 1 when any stdout
 differs or any exit code changed.  Each ``--drop-key KEY`` removes that
@@ -31,6 +33,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("thresholds-grid", "lp-certify", "census-scan")
+K_MAX = 30      # the extra ops below cover thresholds and lp up to this k
 
 
 def _without(text: str, drop: list[str]) -> str:
@@ -52,6 +55,16 @@ def dump(src: str, drop: list[str]) -> dict:
              ["scan", "--n", str(n), "--k", str(k), "--s", str(s), "--r", str(r),
               "--threads", "2", "--format", "json"])
             for n, k, s, r in workloads.CENSUS_SCANS]
+    ops += [(f"table:{workloads.THRESHOLDS_K.stop}..{K_MAX}", "cli",
+             ["thresholds", "table", "--k", f"{workloads.THRESHOLDS_K.stop}..{K_MAX}",
+              "--format", "json"])]
+    ops += [(f"lp:low:{k}:{s}", "cli", ["lp", "--k", str(k), "--s", str(s), "--format", "json"])
+            for k in range(workloads.LP_LOW_K.stop, K_MAX + 1)
+            for s in range(2, workloads.s0(k) + 1)]
+    ops += [(f"lp:mid-high:{k}:{s}", "cli",
+             ["lp", "--k", str(k), "--s", str(s), "--variant", "mid-high", "--format", "json"])
+            for k in range(workloads.LP_MID_HIGH_K.stop, K_MAX + 1)
+            for s in range(workloads.s0(k) + 1, k * (k - 1) // 2 + 1)]
     out = {}
     for op_id, _, argv in ops:
         buf = io.StringIO()
