@@ -3,9 +3,9 @@
 An r-coloring of the edges of G is admissible for parameters (k, s) when
 no k-clique of G carries s or more distinct colors.  Whether a coloring is
 admissible depends only on the partition of the edge set into color
-classes, never on the color identities, so the engine enumerates set
-partitions once (as restricted growth strings over the fixed lexicographic
-edge order) and tallies a census polynomial: a_t counts admissible
+classes, never on the color identities, so the engine counts set
+partitions once (as restricted growth strings over an edge order it
+chooses per graph) and tallies a census polynomial: a_t counts admissible
 partitions with exactly t blocks, and the admissible colorings for any
 palette size r number sum_t a_t * r*(r-1)*...*(r-t+1).
 
@@ -36,7 +36,10 @@ from .graphs import Graph, complete, complete_multipartite, k_cliques, parse_gra
 from .thresholds import turan_ex
 
 DEFAULT_COLORING_BUDGET = 10 ** 8
-DEFAULT_NODE_BUDGET = 10 ** 9
+#: DP states a census may expand: K7 at (k, s) = (4, 4) needs 375,786, and at
+#: this budget K8..K11 at (4, 4), (3, 3) and (4, 3) stop after 17-23 s, K12 at
+#: (5, 4) after 51 s (2-CPU Intel Xeon VM)
+DEFAULT_NODE_BUDGET = 10 ** 6
 #: bytes of state keys a census frontier may hold; a larger frontier is counted
 #: in slices, so memory stays bounded at any node budget
 _FRONTIER_BYTES = 1 << 23
@@ -44,6 +47,12 @@ _FRONTIER_BYTES = 1 << 23
 #: rules would pass what is left gets none, so planning stays cheap when
 #: thousands of cliques are open
 _PLAN_RULES = 1 << 17
+#: a candidate edge order leaves the race once its frontier holds more than this
+#: many times the states of the smallest
+_RACE_SPREAD = 2
+#: censuses of at most this many edges keep the given edge order: on random
+#: graphs the race paid for itself from 11 edges on
+_RACE_MIN_EDGES = 10
 _CHUNK = 1 << 16
 
 if TYPE_CHECKING:   # numpy is imported where it is used: only brute-force counting loads it
@@ -102,6 +111,7 @@ class CensusPolynomial:
             "s": self.s,
             "t_max": self.t_max,
             "coefficients": [[t, str(a)] for t, a in sorted(self.coefficients.items())],
+            "nodes_visited": self.nodes_visited,
             "tool_version": tool_version,
         }
 
@@ -110,7 +120,8 @@ class CensusPolynomial:
         g = parse_graph6(obj["graph6"])
         coeffs = {int(t): int(a) for t, a in obj["coefficients"]}
         return cls(k=int(obj["k"]), s=int(obj["s"]), graph_id=obj["graph6"],
-                   t_max=int(obj["t_max"]), coefficients=coeffs, m=g.m)
+                   t_max=int(obj["t_max"]), coefficients=coeffs, m=g.m,
+                   nodes_visited=int(obj.get("nodes_visited", 0)))
 
 
 # -- brute-force oracle ----------------------------------------------------------
@@ -170,11 +181,14 @@ def count_brute(g: Graph, k: int, s: int, r: int,
 # -- census construction -----------------------------------------------------------
 #
 # The census counts restricted growth strings (RGS): labellings of the edges,
-# in the graph's lexicographic edge order, in which a new block takes the next
-# unused label.  They form a tree: a node at depth e with nb blocks in use has
-# nb + [nb < t_max] children, one per label edge e may take, and a child dies
-# when some k-clique would show s labels.  The tree is counted layer by layer by
-# a frontier DP over the same edge order, without visiting its nodes.
+# in an edge order, in which a new block takes the next unused label.  They form
+# a tree: a node at depth e with nb blocks in use has nb + [nb < t_max]
+# children, one per label edge e may take, and a child dies when some k-clique
+# would show s labels.  The tree is counted layer by layer by a frontier DP over
+# the same edge order, without visiting its nodes.  Every edge order gives the
+# same leaves per block count, since RGS in any order are the set partitions of
+# the edges, but not the same number of DP states: build_census chooses the
+# order per graph (see _race).
 #
 # A clique is open at depth e when its first edge comes before e and its last
 # edge at or after e.  Later edges see the labels so far only through the label
@@ -194,7 +208,7 @@ def count_brute(g: Graph, k: int, s: int, r: int,
 #   * cliques with identical remaining edges are interchangeable, so their
 #     fields are sorted.
 
-def _frontier_plan(g: Graph, k: int, s: int, width: int):
+def _frontier_plan(masks: list[int], m: int, s: int, width: int):
     """The per-edge constants of the DP, as (steps, ones, width).
 
     ones has bit 0 of every slot set.  steps[e] labels edge e and holds, as
@@ -211,13 +225,12 @@ def _frontier_plan(g: Graph, k: int, s: int, width: int):
     pairs and swaps are empty on the edges past the _PLAN_RULES loop steps.
     """
     field = (1 << width) - 1
-    masks = [mask for _, mask in k_cliques(g, k)]
-    starts = [[] for _ in range(g.m)]
+    starts = [[] for _ in range(m)]
     for c, mask in enumerate(masks):
         if mask & (mask - 1):   # a one-edge clique never shows two labels
             starts[(mask & -mask).bit_length() - 1].append(c)
     slot, free, nslots, steps, spare = {}, [], 0, [], _PLAN_RULES
-    for e in range(g.m):
+    for e in range(m):
         for c in starts[e]:
             if free:
                 slot[c] = free.pop()
@@ -257,13 +270,10 @@ def _frontier_plan(g: Graph, k: int, s: int, width: int):
     return steps, sum(1 << x * width for x in range(nslots)), width
 
 
-def _layer(plan, frontier: dict, e: int, t_max: int, s: int, node_budget: int,
-           nodes: int, rules: bool = True) -> tuple[dict, int]:
-    """Label edge e in every state of frontier (a dict that is consumed).
-
-    Returns the frontier at depth e + 1 and nodes plus the RGS tree nodes
-    that give edge e a label, raising ResourceLimitError when that total
-    exceeds node_budget.  With rules false it skips the pair and group rules.
+def _layer(plan, frontier: dict, e: int, t_max: int, s: int, rules: bool = True) -> dict:
+    """Label edge e in every state of frontier (a dict that is consumed) and
+    return the frontier at depth e + 1.  With rules false it skips the pair
+    and group rules.
     """
     steps, ones, width = plan
     hit, born, keep, short, pairs, swaps = steps[e]
@@ -282,7 +292,6 @@ def _layer(plan, frontier: dict, e: int, t_max: int, s: int, node_budget: int,
         nb = key & low
         u = key >> nbits & low
         body = key >> shift
-        nodes += w * (nb + (nb < t_max))
         sigs = [body >> label & ones for label in range(u)]
         at = [ones] + [0] * cap   # at[j]: slots whose clique holds >= j labels
         for sig in sigs:
@@ -331,15 +340,20 @@ def _layer(plan, frontier: dict, e: int, t_max: int, s: int, node_budget: int,
                 nxt[child | nb] = get(child | nb, 0) + w * (nb - u)
             if nb < t_max:
                 nxt[child | nb + 1] = get(child | nb + 1, 0) + w
-    if nodes > node_budget:
-        raise ResourceLimitError(f"census node budget {node_budget} exceeded")
-    return nxt, nodes
+    return nxt
+
+
+def _key_bits(plan, t_max: int) -> int:
+    """Bits of the widest state key of plan."""
+    _, ones, width = plan
+    return ones.bit_length() + width + 2 * t_max.bit_length()
 
 
 def _count(plan, frontier: dict, depth: int, t_max: int, s: int, node_budget: int,
            nodes: int) -> tuple[list[int], int]:
     """Coefficients a_0..a_{t_max} of the leaves below frontier, a dict of
-    states at depth, and nodes plus the tree nodes on the way.
+    states at depth, and nodes plus the states expanded on the way, raising
+    ResourceLimitError before that total would pass node_budget.
 
     The states held at once, in the frontier and in slices waiting their
     turn, are kept to about _FRONTIER_BYTES of keys: a frontier above its
@@ -349,9 +363,8 @@ def _count(plan, frontier: dict, depth: int, t_max: int, s: int, node_budget: in
     which slices lose between them, so the layers after the first split
     skip them.
     """
-    steps, ones, width = plan
-    m = len(steps)
-    most = 8 * _FRONTIER_BYTES // (ones.bit_length() + width + 2 * t_max.bit_length())
+    m = len(plan[0])
+    most = 8 * _FRONTIER_BYTES // _key_bits(plan, t_max)
     low = (1 << t_max.bit_length()) - 1
     coeffs = [0] * (t_max + 1)
     pending, waiting, whole = [(depth, frontier)], len(frontier), True
@@ -359,7 +372,10 @@ def _count(plan, frontier: dict, depth: int, t_max: int, s: int, node_budget: in
         depth, frontier = pending.pop()
         waiting -= len(frontier)
         while depth < m and len(frontier) <= max(2, most - waiting):
-            frontier, nodes = _layer(plan, frontier, depth, t_max, s, node_budget, nodes, whole)
+            nodes += len(frontier)
+            if nodes > node_budget:   # checked before the work, so it is never done
+                raise ResourceLimitError(f"census node budget {node_budget} exceeded")
+            frontier = _layer(plan, frontier, depth, t_max, s, whole)
             depth += 1
         if depth < m:
             whole = False
@@ -374,13 +390,89 @@ def _count(plan, frontier: dict, depth: int, t_max: int, s: int, node_budget: in
     return coeffs, nodes
 
 
+# -- choice of the edge order ----------------------------------------------------
+#
+# No fixed order suits every graph.  On K7 at (k, s) = (4, 4) the lexicographic
+# order expands 328,109 states and the clique-by-clique order passes 3.5 million
+# by its 16th layer; on K_{3,1,1,1,1} the clique-by-clique order expands 2,199
+# and the lexicographic one more than 150,000.  So a few candidate orders race
+# through their first layers, and the race itself is the predictor.
+
+def _vertex_order(g: Graph, rank: list[int]) -> list[int]:
+    """Edge indices in the lexicographic order of g relabelled by rank."""
+    return sorted(range(g.m), key=lambda i: sorted(rank[v] for v in g.edges[i]))
+
+
+def _clique_order(m: int, masks: list[int]) -> list[int]:
+    """Edge indices clique by clique: each time the clique with the fewest edges
+    not yet placed (the first on ties) adds those edges, so cliques close early;
+    edges in no clique come last."""
+    placed, order, left = 0, [], masks
+    while left:
+        new = min(left, key=lambda mask: (mask & ~placed).bit_count()) & ~placed
+        order += [e for e in range(m) if new >> e & 1]
+        placed |= new
+        left = [mask for mask in left if mask & ~placed]
+    return order + [e for e in range(m) if not placed >> e & 1]
+
+
+def _candidate_masks(g: Graph, masks: list[int]) -> list[list[int]]:
+    """The clique masks in each distinct candidate order, the given order first:
+    the given, reversed and degree-sorted vertex labellings in lexicographic
+    order, and the clique-by-clique order."""
+    n = g.n
+    by_degree = [0] * n
+    for i, v in enumerate(sorted(range(n), key=lambda v: (-g.degree(v), v))):
+        by_degree[v] = i
+    orders = (_vertex_order(g, [n - 1 - v for v in range(n)]), _vertex_order(g, by_degree),
+              _clique_order(g.m, masks))
+    out, seen = [masks], {tuple(sorted(masks))}
+    for order in orders:
+        pos = [0] * g.m
+        for new, old in enumerate(order):
+            pos[old] = new
+        moved = [sum(1 << pos[e] for e in range(g.m) if mask >> e & 1) for mask in masks]
+        if tuple(sorted(moved)) not in seen:   # else the same DP up to clique numbering
+            seen.add(tuple(sorted(moved)))
+            out.append(moved)
+    return out
+
+
+def _race(plans: list, t_max: int, s: int, node_budget: int):
+    """Run the candidate plans layer by layer in step and keep one; returns
+    (plan, its frontier, depth, states expanded by all of them).
+
+    After each layer a plan whose frontier holds more than _RACE_SPREAD times
+    the states of the smallest drops out.  The race stops when one plan is
+    left, when they finish, or when their frontiers together hold more than
+    _FRONTIER_BYTES of keys; the smallest frontier then wins, the earliest
+    plan on ties.  Every state counts against node_budget.
+    """
+    racers = [(plan, {0: 1}) for plan in plans]
+    m, depth, nodes = len(plans[0][0]), 0, 0
+    while (len(racers) > 1 and depth < m
+           and sum(len(fr) * _key_bits(plan, t_max) for plan, fr in racers)
+           <= 8 * _FRONTIER_BYTES):
+        nodes += sum(len(fr) for _, fr in racers)
+        if nodes > node_budget:
+            raise ResourceLimitError(f"census node budget {node_budget} exceeded")
+        racers = [(plan, _layer(plan, fr, depth, t_max, s)) for plan, fr in racers]
+        depth += 1
+        least = min(len(fr) for _, fr in racers)
+        racers = [(plan, fr) for plan, fr in racers if len(fr) <= _RACE_SPREAD * least]
+    plan, frontier = min(racers, key=lambda racer: len(racer[1]))
+    return plan, frontier, depth, nodes
+
+
 def build_census(g: Graph, k: int, s: int, t_max: int | None = None,
-                 node_budget: int = DEFAULT_NODE_BUDGET) -> CensusPolynomial:
+                 node_budget: int = DEFAULT_NODE_BUDGET,
+                 masks: list[int] | None = None) -> CensusPolynomial:
     """Tally a_t for t in [1, t_max] over all admissible edge partitions.
 
-    nodes_visited is the node count of the RGS tree, the unit of node_budget,
-    which the DP computes without visiting the nodes; the census raises
-    ResourceLimitError exactly when it exceeds node_budget.
+    masks are the edge masks of g's k-cliques, from k_cliques, when the caller
+    has them.  nodes_visited counts the DP states expanded, over every layer,
+    slice and candidate edge order; it is the unit of node_budget, and the
+    census raises ResourceLimitError exactly when it would exceed node_budget.
     """
     if s < 2:
         raise ContractViolationError(f"census needs s >= 2, got {s}")
@@ -389,7 +481,13 @@ def build_census(g: Graph, k: int, s: int, t_max: int | None = None,
         t_max = max(1, min(m, 16))
     if t_max < 1:
         raise ContractViolationError(f"t_max must be >= 1, got {t_max}")
-    coeffs, nodes = _count(_frontier_plan(g, k, s, t_max), {0: 1}, 0, t_max, s, node_budget, 0)
+    if masks is None:
+        masks = [mask for _, mask in k_cliques(g, k)]
+    # a census of few edges is over before another order could pay for its race
+    candidates = _candidate_masks(g, masks) if m > _RACE_MIN_EDGES else [masks]
+    plan, frontier, depth, nodes = _race([_frontier_plan(c, m, s, t_max) for c in candidates],
+                                         t_max, s, node_budget)
+    coeffs, nodes = _count(plan, frontier, depth, t_max, s, node_budget, nodes)
     return CensusPolynomial(k=k, s=s, graph_id=g.graph6, t_max=t_max,
                             coefficients={t: a for t, a in enumerate(coeffs) if a}, m=m,
                             nodes_visited=nodes)
@@ -426,17 +524,17 @@ def count_colorings(g: Graph, k: int, s: int, r: int, method: str = "auto",
     if method not in ("auto", "census"):
         raise ContractViolationError(f"unknown method {method!r}")
     t0 = time.perf_counter()
-    if method == "auto":
-        if r < s:
-            return CountResult(r ** g.m, r, k, s, g.graph6,
-                               METHOD_TRIVIAL_FEWER_COLORS, time.perf_counter() - t0, 0)
-        if not k_cliques(g, k):
-            return CountResult(r ** g.m, r, k, s, g.graph6,
-                               METHOD_TRIVIAL_KFREE, time.perf_counter() - t0, 0)
+    if method == "auto" and r < s:
+        return CountResult(r ** g.m, r, k, s, g.graph6,
+                           METHOD_TRIVIAL_FEWER_COLORS, time.perf_counter() - t0, 0)
+    masks = [mask for _, mask in k_cliques(g, k)]
+    if method == "auto" and not masks:
+        return CountResult(r ** g.m, r, k, s, g.graph6,
+                           METHOD_TRIVIAL_KFREE, time.perf_counter() - t0, 0)
     t_need = _census_t_max(g, r)
     poly = cache.find_at_least(g.graph6, k, s, t_need) if cache else None
     if poly is None:
-        poly = build_census(g, k, s, t_max=t_need, node_budget=node_budget)
+        poly = build_census(g, k, s, t_max=t_need, node_budget=node_budget, masks=masks)
         if cache:
             cache.put(poly)
     return replace(evaluate(poly, r), elapsed=time.perf_counter() - t0)
@@ -616,9 +714,11 @@ def question2_ratio(n: int, k: int, s: int, r: int, **count_kwargs) -> dict:
 class CensusCache:
     """JSON-lines store of census polynomials keyed by (graph6, k, s, t_max).
 
-    Puts are idempotent; corrupted lines are skipped with a warning, and
-    lines written by another rtlab version are skipped silently; I/O errors
-    always surface.
+    Each line keeps the census's nodes_visited, so a count read back prints
+    what the count that built it printed.  Puts are idempotent; corrupted
+    lines are skipped with a warning, and lines written by another rtlab
+    version or without nodes_visited are skipped silently; I/O errors always
+    surface.
     """
 
     def __init__(self, path):
@@ -647,7 +747,8 @@ class CensusCache:
                 except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                     warnings.warn(f"{self.path}:{lineno}: skipping corrupted cache line ({exc})")
                     continue
-                if obj.get("tool_version") == __version__:   # never reuse another version's work
+                # never reuse another version's work, nor a census without its work count
+                if obj.get("tool_version") == __version__ and "nodes_visited" in obj:
                     self._add(poly)
 
     def get(self, graph_id: str, k: int, s: int, t_max: int) -> CensusPolynomial | None:

@@ -2,8 +2,9 @@
 
 Graphs live on vertices 0..n-1 with n <= 64, adjacency held as per-vertex
 bitsets (Python ints) and an indexed edge list in lexicographic order.
-The edge order is load-bearing: the census engine keys its partitions and
-its cache entries to it.
+Clique edge masks index that list.  The census may count in another edge
+order, but its results, and the cache entries keyed by graph6, do not
+depend on the order.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ class GraphFormatError(ValueError):
 class Graph:
     """Immutable simple undirected graph with an indexed edge list."""
 
-    __slots__ = ("n", "edges", "adj", "_index")
+    __slots__ = ("n", "edges", "adj", "_index", "_graph6")
 
     def __init__(self, n: int, edges=()):
         if not 1 <= n <= MAX_VERTICES:
@@ -56,6 +57,7 @@ class Graph:
         object.__setattr__(self, "edges", tuple(norm))
         object.__setattr__(self, "adj", tuple(adj))
         object.__setattr__(self, "_index", {e: i for i, e in enumerate(norm)})
+        object.__setattr__(self, "_graph6", None)
 
     @property
     def m(self) -> int:
@@ -72,7 +74,10 @@ class Graph:
 
     @property
     def graph6(self) -> str:
-        return write_graph6(self)
+        """The graph6 text, written on first use and kept."""
+        if self._graph6 is None:
+            object.__setattr__(self, "_graph6", write_graph6(self))
+        return self._graph6
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.m}, graph6={self.graph6!r})"

@@ -4,9 +4,10 @@ The walk labels the edges in the graph's lexicographic order, a new block
 taking the next unused label, and visits every node of that tree: a node with
 nb blocks in use tries nb + [nb < t_max] labels, and a child dies as soon as
 some k-clique would show s distinct labels.  Each leaf adds one to a_t, t its
-number of blocks.  rtlab counts the same tree by a frontier DP without
-visiting its nodes; the tests hold the two equal, node count and budget
-decision included.
+number of blocks.  rtlab counts the set partitions of the edges by a
+frontier DP, in an edge order of its choosing, without visiting the tree's
+nodes; the tests hold the coefficients of the two equal.  The walk's node
+count is its own unit: the DP's budget counts its states.
 """
 
 from rtlab.errors import ResourceLimitError

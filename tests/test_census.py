@@ -14,7 +14,7 @@ from rtlab.census import CensusCache, build_census, compare_vs_turan, \
     count_brute, count_colorings, evaluate, extremal_scan, integer_partitions, \
     question2_ratio
 from rtlab.errors import ContractViolationError, ResourceLimitError
-from rtlab.graphs import Graph, complete, complete_multipartite, turan_graph
+from rtlab.graphs import Graph, complete, complete_multipartite, k_cliques, turan_graph
 
 from census_walk_oracle import walk_census
 
@@ -85,28 +85,63 @@ class TestCensus:
 
     def test_node_budget(self):
         with pytest.raises(ResourceLimitError):
-            build_census(T36, 4, 3, t_max=12, node_budget=1000)
+            build_census(T36, 4, 3, t_max=12, node_budget=60)   # it expands 67 states
 
     def test_node_budget_is_exact(self):
-        # the walk visits 1,525 nodes; a budget of exactly that passes
-        assert build_census(K5, 4, 3, t_max=5, node_budget=1525).nodes_visited == 1525
+        # the budget counts DP states; a budget of exactly the count passes
+        want = build_census(K5, 4, 3, t_max=5).nodes_visited
+        assert build_census(K5, 4, 3, t_max=5, node_budget=want).nodes_visited == want
         with pytest.raises(ResourceLimitError):
-            build_census(K5, 4, 3, t_max=5, node_budget=1524)
+            build_census(K5, 4, 3, t_max=5, node_budget=want - 1)
+
+    def test_node_budget_is_exact_with_a_race(self, monkeypatch):
+        # K_{3,1,1,1,1} has 13 edges, so its candidate orders race; every
+        # state any of them expands counts
+        g = complete_multipartite((3, 1, 1, 1, 1))
+        assert len(census._candidate_masks(g, [m for _, m in k_cliques(g, 4)])) > 1
+        expanded = []
+        real = census._layer
+
+        def counted(plan, frontier, *args):
+            expanded.append(len(frontier))
+            return real(plan, frontier, *args)
+
+        monkeypatch.setattr(census, "_layer", counted)
+        want = build_census(g, 4, 3, t_max=8)
+        assert want.nodes_visited == sum(expanded)
+        assert build_census(g, 4, 3, t_max=8, node_budget=want.nodes_visited) == want
+        for budget in (want.nodes_visited - 1, 3):
+            with pytest.raises(ResourceLimitError):
+                build_census(g, 4, 3, t_max=8, node_budget=budget)
+
+    def test_hard_census_expands_few_states(self):
+        # in its given labelling this census expanded more than 150,000 states
+        poly = build_census(complete_multipartite((3, 1, 1, 1, 1)), 4, 4, t_max=16)
+        assert poly.nodes_visited <= 20_000
+        assert evaluate(poly, 5).value == 9_824_937_985   # as counted in the given order
 
     def test_empty_graph(self):
         poly = build_census(Graph(2), 3, 2)
         assert evaluate(poly, 9).value == 1
 
 
-def _same_as_walk(g, k, s, t_max):
-    """The DP's coefficients and node count are the walk's, and its budget
-    decision flips exactly at that node count."""
-    want = walk_census(g, k, s, t_max, node_budget=10 ** 9)
-    poly = build_census(g, k, s, t_max=t_max, node_budget=want[1])
-    assert (poly.coefficients, poly.nodes_visited) == want, (g.graph6, k, s, t_max)
+def _same_as_walk(g, k, s, t_max, want=None):
+    """The DP's coefficients are the walk's (want, when given), and its budget
+    decision flips exactly at its own count of states."""
+    if want is None:
+        want, _ = walk_census(g, k, s, t_max, node_budget=10 ** 9)
+    poly = build_census(g, k, s, t_max=t_max)
+    assert poly.coefficients == want, (g.graph6, k, s, t_max)
+    assert build_census(g, k, s, t_max=t_max, node_budget=poly.nodes_visited) == poly
     if g.m:
         with pytest.raises(ResourceLimitError):
-            build_census(g, k, s, t_max=t_max, node_budget=want[1] - 1)
+            build_census(g, k, s, t_max=t_max, node_budget=poly.nodes_visited - 1)
+
+
+def _relabelled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
 
 
 class TestWalkOracle:
@@ -129,11 +164,30 @@ class TestWalkOracle:
                 edges |= set(itertools.combinations(sorted(rng.sample(range(n), k)), 2))
             _same_as_walk(Graph(n, edges), k, s, max(s, 3) + i % 2)
 
+    def test_relabelled_graphs_match_the_given_labelling(self):
+        # coefficients do not depend on the labelling, nor on the order chosen
+        rng = random.Random(9)
+        graphs = [(complete_multipartite((3, 2, 1)), 3, 3, 9),
+                  (complete_multipartite((2, 2, 1, 1)), 4, 3, 6),
+                  (complete_multipartite((3, 1, 1, 1)), 4, 4, 5),
+                  (complete_multipartite((2, 1, 1, 1, 1)), 3, 3, 4)]
+        for i in range(6):   # unions of random 4-cliques on 7 vertices
+            edges = set()
+            while len(edges) < 12:
+                edges |= set(itertools.combinations(sorted(rng.sample(range(7), 4)), 2))
+            graphs.append((Graph(7, edges), 4, 3, 4 + i % 3))
+        for g, k, s, t_max in graphs:
+            assert g.m > census._RACE_MIN_EDGES
+            want, _ = walk_census(g, k, s, t_max, node_budget=10 ** 9)
+            for _ in range(3):
+                _same_as_walk(_relabelled(g, rng), k, s, t_max, want)
+
     def test_frontier_counted_in_slices(self, monkeypatch):
         # a frontier above the cap is split and its halves counted one by one
         monkeypatch.setattr(census, "_FRONTIER_BYTES", 1)   # two states at most
         for g, k, s, t_max in ((K5, 4, 3, 10), (K5, 3, 3, 6), (K4, 4, 4, 6),
-                               (complete_multipartite([2, 2, 1]), 3, 2, 8)):
+                               (complete_multipartite([2, 2, 1]), 3, 2, 8),
+                               (complete_multipartite([3, 1, 1, 1]), 4, 4, 5)):
             _same_as_walk(g, k, s, t_max)
 
     @pytest.mark.parametrize("spare", [0, 60])
@@ -141,7 +195,8 @@ class TestWalkOracle:
         # edges past the plan's rule budget skip the pair and group rules
         monkeypatch.setattr(census, "_PLAN_RULES", spare)
         for g, k, s, t_max in ((K5, 4, 3, 10), (K5, 3, 3, 6),
-                               (complete_multipartite([3, 2, 1]), 3, 3, 6)):
+                               (complete_multipartite([3, 2, 1]), 3, 3, 6),
+                               (complete_multipartite([3, 1, 1, 1]), 4, 4, 5)):
             _same_as_walk(g, k, s, t_max)
 
 
@@ -180,6 +235,19 @@ class TestAutoStrategy:
         res = count_colorings(K4, 4, 3, 3)
         assert res.method == "census"
         assert res.value == count_brute(K4, 4, 3, 3).value
+
+    def test_cliques_enumerated_once(self, monkeypatch):
+        calls = []
+        real = census.k_cliques
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        want = count_brute(K5, 4, 3, 3).value
+        monkeypatch.setattr(census, "k_cliques", counted)
+        assert count_colorings(K5, 4, 3, 3).value == want
+        assert len(calls) == 1
 
     def test_elapsed_includes_the_census(self, monkeypatch):
         real = census.build_census
@@ -344,7 +412,29 @@ class TestCache:
         cache.put(build_census(complete_multipartite([3, 2]), 3, 2, t_max=6))
         obj = json.loads(path.read_text().splitlines()[0])
         assert all(isinstance(a, str) for _, a in obj["coefficients"])
-        assert set(obj) == {"graph6", "k", "s", "t_max", "coefficients", "tool_version"}
+        assert set(obj) == {"graph6", "k", "s", "t_max", "coefficients", "nodes_visited",
+                            "tool_version"}
+
+    def test_work_count_kept(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        poly = build_census(complete_multipartite([3, 1, 1, 1]), 4, 3, t_max=6)
+        CensusCache(path).put(poly)
+        assert CensusCache(path).get(poly.graph_id, 4, 3, 6) == poly
+
+    def test_line_without_work_count_recomputed(self, tmp_path):
+        import json
+        path = tmp_path / "c.jsonl"
+        CensusCache(path).put(build_census(K4, 4, 3, t_max=6))
+        old = json.loads(path.read_text())
+        del old["nodes_visited"]
+        path.write_text(json.dumps(old) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cache = CensusCache(path)
+        assert cache.find_at_least(K4.graph6, 4, 3, 1) is None
+        first = count_colorings(K4, 4, 3, 3, cache=cache)
+        assert first.nodes_visited > 0
+        assert CensusCache(path).get(K4.graph6, 4, 3, 6).nodes_visited == first.nodes_visited
 
 
 class TestQuestion2:

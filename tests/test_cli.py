@@ -118,6 +118,27 @@ class TestDeterminism:
         _, second, _ = run(capsys, *args)
         assert first == second
 
+    def test_count_read_from_cache_prints_the_same(self, capsys, monkeypatch, tmp_path):
+        # the census's work count is kept with it, so nodes_visited does not
+        # depend on whether this run built the census or read it back
+        monkeypatch.delenv("RTL_CACHE", raising=False)
+        path = tmp_path / "c.jsonl"
+        args = ("count", "--parts", "3,2,1", "--k", "3", "--s", "3", "--r", "4",
+                "--cache", str(path), "--format", "json")
+        _, built, _ = run(capsys, *args)
+        _, read, _ = run(capsys, *args)
+        assert built == read and json.loads(built)["result"]["nodes_visited"] > 0
+        assert path.read_text().count("\n") == 1
+
+    def test_count_independent_of_hash_seed(self):
+        # the edge order is chosen by a race of candidate orders; nothing in it
+        # may follow set or dict order of hashed objects
+        argv = ("-m", "rtlab", "count", "--parts", "3,1,1,1,1", "--k", "4", "--s", "4",
+                "--r", "5", "--format", "json")
+        outs = [_python(*argv, PYTHONHASHSEED=seed) for seed in ("0", "4242")]
+        assert outs[0].returncode == outs[1].returncode == EXIT_OK
+        assert outs[0].stdout == outs[1].stdout
+
     def test_json_numbers_are_strings(self, capsys):
         _, out, _ = run(capsys, "count", "--complete", "4", "--k", "4", "--s", "4",
                         "--r", "2", "--format", "json")
@@ -142,11 +163,21 @@ class TestScanThreads:
         assert md1[:1] + md1[2:] == md2[:1] + md2[2:]
 
     def test_cache_file_independent_of_threads(self, capsys, monkeypatch, tmp_path):
+        self._same_cache_files(capsys, monkeypatch, tmp_path, "5", "3", "3", "3")
+
+    def test_cache_file_with_raced_orders_independent_of_threads(self, capsys, monkeypatch,
+                                                                  tmp_path):
+        # n = 6 has graphs of more than 10 edges, whose candidate edge orders
+        # race; the lines keep each census's nodes_visited
+        self._same_cache_files(capsys, monkeypatch, tmp_path, "6", "4", "3", "4")
+
+    @staticmethod
+    def _same_cache_files(capsys, monkeypatch, tmp_path, n, k, s, r):
         monkeypatch.delenv("RTL_CACHE", raising=False)
         files = {}
         for threads in ("1", "2"):
             path = tmp_path / f"cache{threads}.jsonl"
-            args = ("scan", "--n", "5", "--k", "3", "--s", "3", "--r", "3",
+            args = ("scan", "--n", n, "--k", k, "--s", s, "--r", r,
                     "--cache", str(path), "--threads", threads)
             code, first, _ = run(capsys, *args)
             files[threads] = path.read_bytes()
@@ -299,9 +330,9 @@ class TestConfigLayers:
         assert "usage: rtlab" in outputs[0][0] and outputs[0][1].startswith("rtlab ")
 
 
-def _python(*args):
+def _python(*args, **env_vars):
     src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, **env_vars, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
                           env=env, timeout=60)

@@ -65,6 +65,16 @@ class TestGraph6:
             for g in all_graphs(n):
                 assert parse_graph6(write_graph6(g)) == g
 
+    def test_written_once_per_graph(self, monkeypatch):
+        from rtlab import graphs
+
+        calls = []
+        real = graphs.write_graph6
+        monkeypatch.setattr(graphs, "write_graph6", lambda g: calls.append(g) or real(g))
+        g = complete_multipartite([2, 2, 1])
+        assert g.graph6 == g.graph6 == real(g) and len(calls) == 1
+        assert parse_graph6(g.graph6) == g
+
     def test_long_form_header(self):
         g = turan_graph(64, 5)
         code = write_graph6(g)

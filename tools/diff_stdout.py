@@ -13,10 +13,13 @@ k <= 30 the benchmark leaves out (LOW k >= 9, MID_HIGH k >= 7), 4,933 ops in
 all, runs through ``rtlab.cli.main`` once per tree, each tree in its own
 interpreter.
 The script prints the exit codes that changed and the operations whose
-stdout differs where both trees exited 0, and exits 1 when any stdout
-differs or any exit code changed.  Each ``--drop-key KEY`` removes that
-top-level key of the JSON ``result`` before hashing, so outputs can be
-compared apart from fields one tree adds or drops.
+stdout differs where both trees exited 0, each with the top-level keys of
+its JSON ``result`` and ``config`` that differ, and exits 1 when any stdout
+differs or any exit code changed.  Each ``--drop-key KEY`` removes a key
+before hashing, so outputs can be compared apart from fields one tree adds,
+drops or changes on purpose: a plain KEY is a top-level key of the JSON
+``result``, and SECTION.KEY, such as ``config.node_budget``, a top-level key
+of another part of the document.
 """
 
 from __future__ import annotations
@@ -36,16 +39,30 @@ WORKLOADS = ("thresholds-grid", "lp-certify", "census-scan")
 K_MAX = 30      # the extra ops below cover thresholds and lp up to this k
 
 
-def _without(text: str, drop: list[str]) -> str:
-    """stdout with the given keys removed from its JSON result, re-serialized."""
-    obj = json.loads(text)
+SECTIONS = ("result", "config")   # the parts of a JSON document whose keys are named
+
+
+def _without(obj: dict, drop: list[str]) -> dict:
+    """The JSON document with the given keys removed."""
     for key in drop:
-        obj["result"].pop(key, None)
-    return json.dumps(obj, indent=2)
+        section, _, name = key.rpartition(".")
+        obj[section or "result"].pop(name, None)
+    return obj
+
+
+def _digest(value) -> str:
+    return hashlib.sha256(json.dumps(value, sort_keys=True).encode()).hexdigest()
+
+
+def _key_digests(obj: dict) -> dict:
+    """{"result.KEY" or "config.KEY": sha256} over the top-level keys of both."""
+    return {f"{name}.{key}": _digest(value)
+            for name in SECTIONS for key, value in obj[name].items()}
 
 
 def dump(src: str, drop: list[str]) -> dict:
-    """{op_id: [exit code, sha256 of stdout]} for every op, run from src."""
+    """{op_id: [exit code, sha256 of stdout, sha256 of each result and config
+    key]} for every op, run from src."""
     sys.path[:0] = [src, str(ROOT / "perfbench")]
     import workloads
     from rtlab import cli
@@ -70,10 +87,13 @@ def dump(src: str, drop: list[str]) -> dict:
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
             rc = cli.main(argv)
-        text = buf.getvalue()
-        if drop and rc == 0:
-            text = _without(text, drop)
-        out[op_id] = [rc, hashlib.sha256(text.encode()).hexdigest()]
+        text, keys = buf.getvalue(), {}
+        if rc == 0:
+            obj = _without(json.loads(text), drop)
+            keys = _key_digests(obj)
+            if drop:
+                text = json.dumps(obj, indent=2)
+        out[op_id] = [rc, hashlib.sha256(text.encode()).hexdigest(), keys]
     return out
 
 
@@ -89,8 +109,8 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--dump", help=argparse.SUPPRESS)
     ap.add_argument("--drop-key", dest="drop", action="append", default=[], metavar="KEY",
-                    help="remove this top-level key of the JSON result before hashing "
-                         "(repeatable)")
+                    help="remove this top-level key of the JSON result, or SECTION.KEY "
+                         "such as config.node_budget, before hashing (repeatable)")
     ap.add_argument("trees", nargs="*", metavar="SRC")
     args = ap.parse_args()
     if args.dump:
@@ -106,7 +126,9 @@ def main() -> int:
         print(f"exit {a} -> {b}: {n} ops")
     print(f"{both_ok} ops exit 0 in both trees; stdout differs in {len(differ)}")
     for k in differ:
-        print(f"  differs: {k}")
+        a, b = old[k][2], new[k][2]
+        keys = sorted(key for key in a.keys() | b.keys() if a.get(key) != b.get(key))
+        print(f"  differs: {k}: {', '.join(keys) or 'outside result and config'}")
     return 1 if differ or changed_rc else 0
 
 
