@@ -36,9 +36,9 @@ from .graphs import Graph, complete, complete_multipartite, k_cliques, parse_gra
 from .thresholds import turan_ex
 
 DEFAULT_COLORING_BUDGET = 10 ** 8
-#: DP states a census may expand: K7 at (k, s) = (4, 4) needs 375,786, and at
-#: this budget K8..K11 at (4, 4), (3, 3) and (4, 3) stop after 17-23 s, K12 at
-#: (5, 4) after 51 s (2-CPU Intel Xeon VM)
+#: DP states a census may expand: K7 at (k, s) = (4, 4) needs 343,425, and at
+#: this budget K8..K11 at (4, 4), (3, 3) and (4, 3) stop after 17-21 s, K12 at
+#: (5, 4) after 47 s (2-CPU Intel Xeon VM)
 DEFAULT_NODE_BUDGET = 10 ** 6
 #: bytes of state keys a census frontier may hold; a larger frontier is counted
 #: in slices, so memory stays bounded at any node budget
@@ -48,8 +48,11 @@ _FRONTIER_BYTES = 1 << 23
 #: thousands of cliques are open
 _PLAN_RULES = 1 << 17
 #: a candidate edge order leaves the race once its frontier holds more than this
-#: many times the states of the smallest
+#: many times the states of the smallest, or once it holds more states than the
+#: smallest after growing over one layer by more than this factor and by more
+#: than _RACE_GROWTH times the smallest's growth
 _RACE_SPREAD = 2
+_RACE_GROWTH = 1.5
 #: censuses of at most this many edges keep the given edge order: on random
 #: graphs the race paid for itself from 11 edges on
 _RACE_MIN_EDGES = 10
@@ -218,11 +221,15 @@ def _frontier_plan(masks: list[int], m: int, s: int, width: int):
       keep   every bit of each slot whose clique is still open at depth e + 1;
       short  (marks, j): marks the cliques open at depth e + 1 with s - j
              remaining edges, which are dropped unless they hold j labels;
-      pairs  (shift of x, shift of y) for open cliques x != y, one of them in
-             hit, with x's remaining edges a subset of y's;
-      swaps  a compare-exchange network that sorts the fields of each group of
-             open cliques with identical remaining edges.
-    pairs and swaps are empty on the edges past the _PLAN_RULES loop steps.
+      reads  the shifts of the slots the pair rule reads;
+      pairs  (x, ys) for open cliques x, as indices into reads, with ys the
+             open cliques y != x, one of x and y in hit, whose remaining
+             edges include x's;
+      swaps  a compare-exchange network, as pairs of slot shifts, that sorts
+             the fields of each group of open cliques with identical
+             remaining edges.
+    reads, pairs and swaps are empty on the edges past the _PLAN_RULES loop
+    steps.
     """
     field = (1 << width) - 1
     starts = [[] for _ in range(m)]
@@ -251,11 +258,16 @@ def _frontier_plan(masks: list[int], m: int, s: int, width: int):
         touched = [c for c in rem if c in hit]
         cost = (len(touched) * (2 * len(rem) - len(touched))   # iterations of the loops below
                 + sum(len(shifts) ** 2 for shifts in groups.values()) // 2)
-        pairs, swaps = (), []
+        reads, pairs, swaps = (), (), []
         if cost <= spare:
             spare -= cost
-            pairs = tuple((base[x], base[y]) for x in rem for y in (rem if x in hit else touched)
-                          if x != y and not rem[x] & ~rem[y])
+            over = {x: [y for y in (rem if x in hit else touched)
+                        if x != y and not rem[x] & ~rem[y]] for x in rem}
+            over = {x: ys for x, ys in over.items() if ys}
+            reads = sorted({base[c] for x, ys in over.items() for c in (x, *ys)})
+            index = {shift: i for i, shift in enumerate(reads)}
+            pairs = tuple((index[base[x]], tuple(index[base[y]] for y in ys))
+                          for x, ys in over.items())
             for shifts in groups.values():   # odd-even transposition sort
                 shifts.sort()
                 for rnd in range(len(shifts)):
@@ -264,7 +276,7 @@ def _frontier_plan(masks: list[int], m: int, s: int, width: int):
         steps.append((sum(1 << base[c] for c in hit),
                       sum(1 << base[c] for c in starts[e]),
                       sum(field << base[c] for c in rem),
-                      tuple(short), pairs, tuple(swaps)))
+                      tuple(short), tuple(reads), pairs, tuple(swaps)))
         for c in [c for c in slot if c not in rem]:   # cliques whose last edge is e
             free.append(slot.pop(c))
     return steps, sum(1 << x * width for x in range(nslots)), width
@@ -276,7 +288,7 @@ def _layer(plan, frontier: dict, e: int, t_max: int, s: int, rules: bool = True)
     and group rules.
     """
     steps, ones, width = plan
-    hit, born, keep, short, pairs, swaps = steps[e]
+    hit, born, keep, short, reads, pairs, swaps = steps[e]
     if not rules:
         pairs = swaps = ()
     nbits = t_max.bit_length()
@@ -317,12 +329,17 @@ def _layer(plan, frontier: dict, e: int, t_max: int, s: int, rules: bool = True)
                     drop |= marks & ~(at[j] & ~gained | at[j - 1] & gained)
                 if drop:
                     b &= ~(drop * field)
-            for sx, sy in pairs:
-                a = b >> sx & field
-                if a:
-                    c = b >> sy & field
-                    if c and not a & ~c:
-                        b &= ~(field << sx)
+            if pairs:
+                fields = [b >> x & field for x in reads]
+                for x, ys in pairs:   # in order: a dropped clique no longer covers others
+                    a = fields[x]
+                    if a:
+                        for y in ys:
+                            c = fields[y]
+                            if c and not a & ~c:
+                                fields[x] = 0
+                                b ^= a << reads[x]
+                                break
             held = sorted(filter(None, [b >> i & ones for i in range(u + (label == u))]))
             b = sum(map(lshift, held, range(len(held))))
             for sx, sy in swaps:
@@ -418,14 +435,9 @@ def _clique_order(m: int, masks: list[int]) -> list[int]:
 
 def _candidate_masks(g: Graph, masks: list[int]) -> list[list[int]]:
     """The clique masks in each distinct candidate order, the given order first:
-    the given, reversed and degree-sorted vertex labellings in lexicographic
-    order, and the clique-by-clique order."""
-    n = g.n
-    by_degree = [0] * n
-    for i, v in enumerate(sorted(range(n), key=lambda v: (-g.degree(v), v))):
-        by_degree[v] = i
-    orders = (_vertex_order(g, [n - 1 - v for v in range(n)]), _vertex_order(g, by_degree),
-              _clique_order(g.m, masks))
+    the given and the reversed vertex labelling in lexicographic order, and the
+    clique-by-clique order."""
+    orders = (_vertex_order(g, list(range(g.n - 1, -1, -1))), _clique_order(g.m, masks))
     out, seen = [masks], {tuple(sorted(masks))}
     for order in orders:
         pos = [0] * g.m
@@ -442,25 +454,33 @@ def _race(plans: list, t_max: int, s: int, node_budget: int):
     """Run the candidate plans layer by layer in step and keep one; returns
     (plan, its frontier, depth, states expanded by all of them).
 
-    After each layer a plan whose frontier holds more than _RACE_SPREAD times
-    the states of the smallest drops out.  The race stops when one plan is
-    left, when they finish, or when their frontiers together hold more than
-    _FRONTIER_BYTES of keys; the smallest frontier then wins, the earliest
-    plan on ties.  Every state counts against node_budget.
+    After each layer a plan drops out when its frontier holds more than
+    _RACE_SPREAD times the states of the smallest, or when it holds more
+    states than the smallest and grew over the layer by more than
+    _RACE_SPREAD and by more than _RACE_GROWTH times the smallest's growth:
+    an order may trail early and win late (K7 in the given order), but on
+    the graphs measured none that outgrew the smallest so went on to win.
+    The race stops when one plan is left, when they finish, or when their
+    frontiers together hold more than _FRONTIER_BYTES of keys; the smallest
+    frontier then wins, the earliest plan on ties.  Every state counts
+    against node_budget.
     """
-    racers = [(plan, {0: 1}) for plan in plans]
+    racers = [(plan, 1, {0: 1}) for plan in plans]   # (plan, states before the layer, frontier)
     m, depth, nodes = len(plans[0][0]), 0, 0
     while (len(racers) > 1 and depth < m
-           and sum(len(fr) * _key_bits(plan, t_max) for plan, fr in racers)
+           and sum(len(fr) * _key_bits(plan, t_max) for plan, _, fr in racers)
            <= 8 * _FRONTIER_BYTES):
-        nodes += sum(len(fr) for _, fr in racers)
+        nodes += sum(len(fr) for _, _, fr in racers)
         if nodes > node_budget:
             raise ResourceLimitError(f"census node budget {node_budget} exceeded")
-        racers = [(plan, _layer(plan, fr, depth, t_max, s)) for plan, fr in racers]
+        racers = [(plan, len(fr), _layer(plan, fr, depth, t_max, s)) for plan, _, fr in racers]
         depth += 1
-        least = min(len(fr) for _, fr in racers)
-        racers = [(plan, fr) for plan, fr in racers if len(fr) <= _RACE_SPREAD * least]
-    plan, frontier = min(racers, key=lambda racer: len(racer[1]))
+        _, was, least = min(racers, key=lambda racer: len(racer[2]))
+        racers = [(plan, before, fr) for plan, before, fr in racers
+                  if len(fr) <= _RACE_SPREAD * len(least)
+                  and not (len(fr) > len(least) and len(fr) > _RACE_SPREAD * before
+                           and len(fr) * was > _RACE_GROWTH * len(least) * before)]
+    plan, _, frontier = min(racers, key=lambda racer: len(racer[2]))
     return plan, frontier, depth, nodes
 
 
@@ -532,7 +552,9 @@ def count_colorings(g: Graph, k: int, s: int, r: int, method: str = "auto",
         return CountResult(r ** g.m, r, k, s, g.graph6,
                            METHOD_TRIVIAL_KFREE, time.perf_counter() - t0, 0)
     t_need = _census_t_max(g, r)
-    poly = cache.find_at_least(g.graph6, k, s, t_need) if cache else None
+    # the exact key: a census of a larger t_max would serve, but its
+    # nodes_visited is not what this count prints when it builds its own
+    poly = cache.get(g.graph6, k, s, t_need) if cache else None
     if poly is None:
         poly = build_census(g, k, s, t_max=t_need, node_budget=node_budget, masks=masks)
         if cache:
@@ -634,7 +656,7 @@ def _scan_row(n, k, s, r, turan_count, count_kwargs, task):
         return ScanRow(g.graph6, parts, None, None, None,
                        error=f"graph has {g.n} vertices, scan is for n = {n}"), None
     built = []
-    cache = SimpleNamespace(find_at_least=lambda *key: found, put=built.append)
+    cache = SimpleNamespace(get=lambda *key: found, put=built.append)
     try:
         res = count_colorings(g, k, s, r, cache=cache, **count_kwargs)
     except ResourceLimitError as exc:
@@ -660,6 +682,7 @@ def extremal_scan(n: int, k: int, s: int, r: int,
     else:
         raise ContractViolationError(f"unknown scan family {family!r}")
     turan_count = r ** turan_ex(n, k)
+    # rows print no nodes_visited, so a census of a larger t_max serves them
     tasks = [(g, parts, cache and cache.find_at_least(g.graph6, k, s, _census_t_max(g, r)))
              for g, parts in items]
     count_row = partial(_scan_row, n, k, s, r, turan_count, count_kwargs)

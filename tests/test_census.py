@@ -95,7 +95,7 @@ class TestCensus:
             build_census(K5, 4, 3, t_max=5, node_budget=want - 1)
 
     def test_node_budget_is_exact_with_a_race(self, monkeypatch):
-        # K_{3,1,1,1,1} has 13 edges, so its candidate orders race; every
+        # K_{3,1,1,1,1} has 18 edges, so its candidate orders race; every
         # state any of them expands counts
         g = complete_multipartite((3, 1, 1, 1, 1))
         assert len(census._candidate_masks(g, [m for _, m in k_cliques(g, 4)])) > 1
@@ -119,6 +119,14 @@ class TestCensus:
         poly = build_census(complete_multipartite((3, 1, 1, 1, 1)), 4, 4, t_max=16)
         assert poly.nodes_visited <= 20_000
         assert evaluate(poly, 5).value == 9_824_937_985   # as counted in the given order
+
+    @pytest.mark.parametrize("parts, k, s, t_max, states", [
+        ((1,) * 7, 4, 3, 16, 1219), ((2, 2, 2, 1), 4, 4, 16, 10071),
+        ((1,) * 6, 4, 4, 15, 9308), ((3, 3, 1), 3, 3, 10, 321)])
+    def test_states_expanded(self, parts, k, s, t_max, states):
+        # nodes_visited is printed; a change to the merge rules or the race
+        # changes it, and must regenerate the outputs that show it
+        assert build_census(complete_multipartite(parts), k, s, t_max=t_max).nodes_visited == states
 
     def test_empty_graph(self):
         poly = build_census(Graph(2), 3, 2)

@@ -130,6 +130,22 @@ class TestDeterminism:
         assert built == read and json.loads(built)["result"]["nodes_visited"] > 0
         assert path.read_text().count("\n") == 1
 
+    def test_count_reads_only_the_census_of_its_own_t_max(self, capsys, monkeypatch, tmp_path):
+        # above r = 16 each r has its own t_max; a stored census of a larger
+        # t_max gives the value but not the nodes_visited of this count's own
+        monkeypatch.delenv("RTL_CACHE", raising=False)
+        path = tmp_path / "c.jsonl"
+        args = ("count", "--complete", "7", "--k", "3", "--s", "4", "--format", "json")
+        _, fresh, _ = run(capsys, *args, "--r", "17")
+        _, larger, _ = run(capsys, *args, "--r", "18")
+        assert json.loads(larger)["result"]["nodes_visited"] != json.loads(fresh)["result"]["nodes_visited"]
+        run(capsys, *args, "--r", "18", "--cache", str(path))
+        _, built, _ = run(capsys, *args, "--r", "17", "--cache", str(path))
+        _, read, _ = run(capsys, *args, "--r", "17", "--cache", str(path))
+        assert json.loads(built)["result"] == json.loads(fresh)["result"]
+        assert built == read
+        assert [json.loads(line)["t_max"] for line in path.read_text().splitlines()] == [18, 17]
+
     def test_count_independent_of_hash_seed(self):
         # the edge order is chosen by a race of candidate orders; nothing in it
         # may follow set or dict order of hashed objects
