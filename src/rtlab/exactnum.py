@@ -86,7 +86,7 @@ class PowerProduct:
             e = _as_exponent(exp)
             if b == 1 or e == 0:
                 continue
-            acc[b] = acc.get(b, Fraction(0)) + e
+            acc[b] = acc[b] + e if b in acc else e
         object.__setattr__(self, "factors",
                            tuple(sorted((b, e) for b, e in acc.items() if e != 0)))
 
@@ -168,9 +168,12 @@ class PowerProduct:
             other = PowerProduct.one()
         elif isinstance(other, int):
             other = PowerProduct.of_int(other)
-        diff = (self / other).factors
-        if not diff:
+        if self.factors == other.factors:
             return EQUAL
+        # The quotient's factors, unmerged: each step below holds for any
+        # list of factors, and the float screen decides most comparisons
+        # before anything is merged.
+        diff = self.factors + tuple((b, -e) for b, e in other.factors)
 
         # Conservative float screen: per-term relative error is a few ulp,
         # so a gap above 1e-9 of the total magnitude is decisive.
@@ -208,10 +211,14 @@ def _coprime_base(factors) -> tuple[dict[int, int], int]:
 
     No x is 0, so the dict is empty exactly when the product equals 1
     (distinct primes divide distinct coprime bases).  Exponents are scaled
-    to integers by the lcm d of their denominators.
+    to integers by the lcm d of their denominators, and a base that occurs
+    more than once is merged first, in integers.
     """
     d = math.lcm(*(e.denominator for _, e in factors))
-    work = [(b, e.numerator * (d // e.denominator)) for b, e in factors]
+    merged: dict[int, int] = {}
+    for b, e in factors:
+        merged[b] = merged.get(b, 0) + e.numerator * (d // e.denominator)
+    work = list(merged.items())
     out: dict[int, int] = {}
     while work:
         b, e = work.pop()

@@ -10,11 +10,17 @@ and dual multipliers y_i = ln q_i with rational q_i.  Optimality is then
 certified by weak duality: the point is feasible in rationals, every
 q_i >= 1, each variable j is covered by multipliers whose product is
 >= j, and the dual objective prod q_i^(1/coef_i) is EQUAL to the point's
-value.  All of it costs O(rows + vars) plus one PowerProduct comparison.
+value.  The governing row and the covering product change only where a
+row's lo is reached, so both passes walk the variables in runs between
+those points: the exact work is O(rows) plus one PowerProduct comparison,
+and a variable costs only integer bookkeeping and its JSON entry.  A claimed
+point equal to the greedy optimum shares its check; any other point gets its
+own row check and one more comparison.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -27,6 +33,8 @@ from .thresholds import b_param, bracket_terms, cap_A, cap_index, i_star, l_para
 
 VARIANT_LOW = "LOW"
 VARIANT_MID_HIGH = "MID_HIGH"
+
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -155,7 +163,8 @@ class DualCertificate:
     def value(self, lp: StabilityLP) -> PowerProduct:
         factors = []
         for q, c in zip(self.rows, lp.rows):
-            factors += [(q.numerator, 1 / c.coef), (q.denominator, -1 / c.coef)]
+            u = 1 / c.coef
+            factors += [(q.numerator, u), (q.denominator, -u)]
         if self.cap is not None:
             factors += [(self.cap.numerator, lp.free_cap), (self.cap.denominator, -lp.free_cap)]
         return PowerProduct(factors)
@@ -279,6 +288,13 @@ def _in_cap(lp: StabilityLP, idx: int) -> bool:
     return lp.free_cap is not None and lp.free_range[0] <= idx <= lp.free_range[1]
 
 
+def _cap_span(lp: StabilityLP, dims: tuple[int, ...]) -> tuple[int, int]:
+    """Positions [a, b) of the cap block in the sorted dims; (0, 0) without a cap."""
+    if lp.free_cap is None:
+        return 0, 0
+    return bisect_left(dims, lp.free_range[0]), bisect_right(dims, lp.free_range[1])
+
+
 def _rows_by_lo(lp: StabilityLP) -> list[int]:
     return sorted(range(len(lp.rows)), key=lambda i: lp.rows[i].lo)
 
@@ -294,32 +310,42 @@ def greedy_optimum(lp: StabilityLP) -> tuple[dict[int, Fraction], DualCertificat
     increases, so each mass U(t) - U(next(t)) is >= 0.  e_1 has weight 0
     and stays empty, which keeps S(1) = S(2) <= U(1).  Charging t/prev(t)
     to the row attaining U(t) gives q with the same objective value.
-    Nothing here is trusted: certify checks both halves exactly.
+
+    The governing row changes only where a new row's lo is reached, so the
+    chain splits into runs between those points.  A run's ratios telescope
+    to end/prev(first), charged to its row in one product, and U changes
+    only at run ends, so mass sits there alone: O(rows + vars) in all, of
+    which only O(rows) is Fraction work.  Nothing here is trusted: certify
+    checks both halves exactly.
     """
     dims = lp.dims()
-    block = [t for t in dims if _in_cap(lp, t)]
-    chain = [t for t in dims if not _in_cap(lp, t)]
+    a, b = _cap_span(lp, dims)
+    block, chain = dims[a:b], dims[:a] + dims[b:]
     order = _rows_by_lo(lp)
     if block and order and lp.rows[order[0]].lo <= block[-1]:
         raise ContractViolationError("the cap block overlaps a suffix row")
+    runs = []                       # (position of the run's first t in chain, its row)
+    for i in order:
+        at = bisect_left(chain, lp.rows[i].lo)
+        if at == len(chain):
+            break
+        if not runs or lp.rows[i].coef > lp.rows[runs[-1][1]].coef:
+            if runs and runs[-1][0] == at:
+                runs.pop()
+            runs.append((at, i))
+    if chain and (not runs or runs[0][0] > 0):
+        raise ContractViolationError(
+            f"variable e_{chain[0]} lies in no row or cap: the program is unbounded")
     q = [Fraction(1)] * len(lp.rows)
-    u_at = []                       # U(t) for each t of the chain
-    best = None
-    nxt = 0
+    u = [1 / lp.rows[i].coef for _, i in runs] + [_ZERO]
+    point = {}
     prev = 1
-    for t in chain:
-        while nxt < len(order) and lp.rows[order[nxt]].lo <= t:
-            if best is None or lp.rows[order[nxt]].coef > lp.rows[best].coef:
-                best = order[nxt]
-            nxt += 1
-        if best is None:
-            raise ContractViolationError(
-                f"variable e_{t} lies in no row or cap: the program is unbounded")
-        q[best] *= Fraction(t, prev)
-        u_at.append(1 / lp.rows[best].coef)
-        prev = t
-    point = {t: u - u_next for t, u, u_next in zip(chain, u_at, u_at[1:] + [Fraction(0)])
-             if t > 1 and u != u_next}
+    for n, (_, i) in enumerate(runs):
+        end = chain[runs[n + 1][0] - 1] if n + 1 < len(runs) else chain[-1]
+        q[i] *= Fraction(end, prev)
+        if end > 1 and u[n] != u[n + 1]:
+            point[end] = u[n] - u[n + 1]
+        prev = end
     q_cap = None
     if lp.free_cap is not None:
         q_cap = Fraction(block[-1] if block else 1)
@@ -332,8 +358,8 @@ def _row_checks(lp: StabilityLP, point: dict[int, Fraction]) -> tuple[bool, tupl
     """Exact feasibility of a point and its tight rows (the cap counts last),
     from one downward suffix-sum pass over the point's entries."""
     entries = sorted(point.items(), reverse=True)
-    lhs = [Fraction(0)] * len(lp.rows)
-    acc = Fraction(0)
+    lhs = [_ZERO] * len(lp.rows)
+    acc = _ZERO
     n = 0
     for i in _rows_by_lo(lp)[::-1]:
         while n < len(entries) and entries[n][0] >= lp.rows[i].lo:
@@ -342,7 +368,7 @@ def _row_checks(lp: StabilityLP, point: dict[int, Fraction]) -> tuple[bool, tupl
         lhs[i] = lp.rows[i].coef * acc
     bounds = [Fraction(1)] * len(lp.rows)
     if lp.free_cap is not None:
-        lhs.append(sum((v for t, v in point.items() if _in_cap(lp, t)), Fraction(0)))
+        lhs.append(sum((v for t, v in point.items() if _in_cap(lp, t)), _ZERO))
         bounds.append(lp.free_cap)
     feasible = all(v >= 0 for v in point.values()) and all(a <= b for a, b in zip(lhs, bounds))
     return feasible, tuple(i for i, (a, b) in enumerate(zip(lhs, bounds)) if a == b)
@@ -353,52 +379,68 @@ def dual_holds(lp: StabilityLP, dual: DualCertificate, value: PowerProduct) -> b
     which then bounds every feasible point's objective from above.
 
     Feasibility: every q >= 1, and for each variable j the product of q over
-    the rows (and cap) covering j is >= j.  One running product over the rows
-    sorted by lo keeps this O(rows + vars).
+    the rows (and cap) covering j is >= j.  That product changes only where
+    a row's lo is reached and at the ends of the cap block, so each run
+    between those points is checked once, at its largest index: one running
+    product over the rows sorted by lo keeps this O(rows + vars), of which
+    only O(rows) is Fraction work.
     """
     if len(dual.rows) != len(lp.rows) or (dual.cap is None) != (lp.free_cap is None):
         return False
     if any(q < 1 for q in dual.rows) or (dual.cap is not None and dual.cap < 1):
         return False
+    dims = lp.dims()
     order = _rows_by_lo(lp)
+    a, b = _cap_span(lp, dims)
+    cuts = {bisect_left(dims, lp.rows[i].lo) for i in order} | {a, b, len(dims)}
     covered = Fraction(1)
     nxt = 0
-    for t in lp.dims():
+    for end in sorted(cuts - {0}):
+        t = dims[end - 1]
         while nxt < len(order) and lp.rows[order[nxt]].lo <= t:
             covered *= dual.rows[order[nxt]]
             nxt += 1
-        if (covered * dual.cap if _in_cap(lp, t) else covered) < t:
+        if (covered * dual.cap if a < end <= b else covered) < t:
             return False
     return dual.value(lp).compare(value) == EQUAL
 
 
 def certify(lp: StabilityLP, point: dict[int, Fraction]) -> LPCertificate:
-    """Check the point exactly against the optimum certified by weak duality."""
+    """Check the point exactly against the optimum certified by weak duality.
+
+    A point equal to the greedy optimum, zero entries aside, shares that
+    optimum's row check and value; any other point gets its own row check
+    and one comparison with the optimum.
+    """
     dims = lp.dims()
     for idx in point:
         if idx not in dims:
             raise ContractViolationError(f"point index {idx} is not a variable of this instance")
     point = {idx: Fraction(v) for idx, v in point.items()}
-    feasible, tight = _row_checks(lp, point)
 
     best_point, dual = greedy_optimum(lp)
     best = objective_value(best_point)
-    if not _row_checks(lp, best_point)[0] or not dual_holds(lp, dual, best):
+    best_feasible, best_tight = _row_checks(lp, best_point)
+    if not best_feasible or not dual_holds(lp, dual, best):
         raise ContractViolationError(
             f"the greedy optimum of {lp.variant} (k, s) = {(lp.k, lp.s)} fails its certificate")
-    claimed_value = objective_value(point)
-    optimal = feasible and claimed_value.compare(best) == EQUAL
+    if {idx: v for idx, v in point.items() if v != 0} == best_point:
+        feasible, tight, claimed_value, optimal = True, best_tight, best, True
+    else:
+        feasible, tight = _row_checks(lp, point)
+        claimed_value = objective_value(point)
+        optimal = feasible and claimed_value.compare(best) == EQUAL
 
     top = i_star(lp.k, lp.s) if lp.variant == VARIANT_LOW else lp.k - 2
     supp = support_indices(lp.k, lp.s, top_i=top)
-    actual = sum((point.get(i, Fraction(0)) for i in supp), Fraction(0))
+    actual = sum((point[i] for i in supp if i in point), _ZERO)
     expected = Fraction(2)
     return LPCertificate(
         lp=lp, claimed_point=point, claimed_value=claimed_value,
         feasible=feasible, tight_rows=tight,
         vertex_max=best, optimal=optimal,
-        argmax_vertex=tuple(best_point.get(idx, Fraction(0)) for idx in dims), dual=dual,
-        sum_of_point=sum(point.values(), Fraction(0)),
+        argmax_vertex=tuple(best_point.get(idx, _ZERO) for idx in dims), dual=dual,
+        sum_of_point=sum(point.values(), _ZERO),
         support_sum_expected=expected, support_sum_actual=actual,
         support_sum_matches=actual == expected, support=supp)
 

@@ -1,10 +1,14 @@
 """Stability-program construction, claimed optimum, vertex certificates."""
 
+import re
 from fractions import Fraction as Fr
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lp_greedy_oracle import dual_holds_oracle, greedy_oracle
 from rtlab.errors import ContractViolationError
 from rtlab.exactnum import EQUAL, PowerProduct
 from rtlab import lpverify as lpv
@@ -240,15 +244,35 @@ class TestDualCertificate:
 
     def test_infeasible_optimum_rejected(self, monkeypatch):
         # doubling x* and squaring q keeps the dual feasible and the gap
-        # closed, so only the primal feasibility check can catch it
+        # closed, so only the primal feasibility check can catch it, both
+        # when the claimed point differs from x* and when it is x* itself
         lp = lpv.build_lp(6, 6)
         point, dual = lpv.greedy_optimum(lp)
         doubled = {t: 2 * e for t, e in point.items()}
         squared = lpv.DualCertificate(tuple(q * q for q in dual.rows))
         assert lpv.dual_holds(lp, squared, lpv.objective_value(doubled))
         monkeypatch.setattr(lpv, "greedy_optimum", lambda _: (doubled, squared))
-        with pytest.raises(ContractViolationError):
-            lpv.certify(lp, {})
+        for claimed in ({}, doubled):
+            with pytest.raises(ContractViolationError):
+                lpv.certify(lp, claimed)
+
+    def test_under_covered_interior_index_fails(self):
+        # two rows with u = 2: the greedy run governed by row 0 spans e_2..e_7,
+        # and row 1 joins the coverage at e_5.  (7, 1) certifies 7^2 = 49;
+        # (7/2, 2) reaches the same value and covers e_2, e_3 and e_5..e_7,
+        # but not e_4, the last index before row 1's lo and an interior
+        # index of the run
+        lp = lpv.StabilityLP(4, 4, lpv.VARIANT_LOW,
+                             (lpv.SuffixConstraint(Fr(1, 2), 2), lpv.SuffixConstraint(Fr(1, 2), 5)),
+                             variables=tuple(range(2, 8)), include_e1=False)
+        point, dual = lpv.greedy_optimum(lp)
+        assert point == {7: Fr(2)} and dual == lpv.DualCertificate((Fr(7), Fr(1)))
+        value = PowerProduct.of_int(49)
+        assert lpv.dual_holds(lp, dual, value)
+        lowered = lpv.DualCertificate((Fr(7, 2), Fr(2)))
+        assert lowered.value(lp).compare(value) == EQUAL
+        assert not lpv.dual_holds(lp, lowered, value)
+        assert not dual_holds_oracle(lp, lowered, value)
 
     def test_uncovered_variable_raises(self):
         lp = lpv.StabilityLP(5, 4, lpv.VARIANT_LOW, (lpv.SuffixConstraint(Fr(3, 4), 3),),
@@ -263,6 +287,97 @@ class TestDualCertificate:
                                   lp.include_e1, lp.free_cap, (2, hi), lp.p, lp.j)
         with pytest.raises(ContractViolationError):
             lpv.certify(overlap, {})
+
+
+class TestClaimedPointChecks:
+    # e_1 has objective weight 0, so {1: 1, 2: 1} is optimal beside the
+    # greedy x* = {2: 1}, and makes row 0 tight where x* does not
+    LP = lpv.StabilityLP(4, 3, lpv.VARIANT_LOW,
+                         (lpv.SuffixConstraint(Fr(1, 2), 1), lpv.SuffixConstraint(Fr(1), 2)),
+                         variables=(2,), include_e1=True)
+
+    @staticmethod
+    def _spy(monkeypatch):
+        calls = {"rows": 0, "compare": 0}
+        row_checks, compare = lpv._row_checks, PowerProduct.compare
+
+        def counted_rows(lp, point):
+            calls["rows"] += 1
+            return row_checks(lp, point)
+
+        def counted_compare(self, other=None, bit_budget=None):
+            calls["compare"] += 1
+            return compare(self, other, bit_budget)
+
+        monkeypatch.setattr(lpv, "_row_checks", counted_rows)
+        monkeypatch.setattr(PowerProduct, "compare", counted_compare)
+        return calls
+
+    def test_greedy_point(self):
+        assert lpv.greedy_optimum(self.LP) == ({2: Fr(1)}, lpv.DualCertificate((Fr(1), Fr(2))))
+
+    def test_other_point_gets_its_own_checks(self, monkeypatch):
+        calls = self._spy(monkeypatch)
+        cert = lpv.certify(self.LP, {1: Fr(1), 2: Fr(1)})
+        assert cert.feasible and cert.optimal
+        assert cert.tight_rows == (0, 1)
+        # one row check and one compare (in dual_holds) for x*, one each for the point
+        assert calls == {"rows": 2, "compare": 2}
+
+    def test_other_point_is_compared(self):
+        cert = lpv.certify(self.LP, {1: Fr(1, 2), 2: Fr(1, 2)})
+        assert cert.feasible and not cert.optimal and cert.tight_rows == ()
+
+    def test_greedy_point_is_checked_once(self, monkeypatch):
+        calls = self._spy(monkeypatch)
+        cert = lpv.certify(self.LP, {1: Fr(0), 2: Fr(1)})    # zero entries aside, x*
+        assert cert.feasible and cert.optimal
+        assert cert.tight_rows == (1,)
+        assert cert.claimed_value == cert.vertex_max
+        assert cert.to_json_obj()["claimed_point"] == {"1": "0/1", "2": "1/1"}
+        assert calls == {"rows": 1, "compare": 1}
+
+
+_coef = st.fractions(min_value=Fr(1, 4), max_value=Fr(3), max_denominator=6)
+_mult = st.fractions(min_value=Fr(1, 2), max_value=Fr(12), max_denominator=4)
+
+
+@st.composite
+def _programs(draw):
+    """Nested-suffix programs over e_v0..e_(s-1), with or without e_1 and a
+    cap block e_2..e_h below the rows (h = 1 leaves the block empty)."""
+    v0 = draw(st.integers(2, 4))
+    s = draw(st.integers(v0, v0 + 9))
+    include_e1 = draw(st.booleans())
+    h = draw(st.integers(1, s - 1)) if draw(st.booleans()) else None
+    low = 1 if h is None else h + 1
+    rows = tuple(lpv.SuffixConstraint(draw(_coef), draw(st.integers(low, s)))
+                 for _ in range(draw(st.integers(0, 5))))
+    cap = {} if h is None else {"free_cap": draw(_coef), "free_range": (2, h)}
+    return lpv.StabilityLP(4, 4, lpv.VARIANT_LOW, rows, tuple(range(v0, s)), include_e1, **cap)
+
+
+class TestRunLengthOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(_programs(), st.data())
+    def test_matches_per_variable_pass(self, lp, data):
+        try:
+            want = greedy_oracle(lp)
+        except ContractViolationError as exc:
+            with pytest.raises(ContractViolationError, match=re.escape(str(exc))):
+                lpv.greedy_optimum(lp)
+            return
+        point, dual = lpv.greedy_optimum(lp)
+        assert point == want[0]
+        assert dual.rows == want[1].rows and dual.cap == want[1].cap
+        value = lpv.objective_value(point)
+        assert lpv.dual_holds(lp, dual, value) == dual_holds_oracle(lp, dual, value)
+        # another dual, judged against its own value, so coverage decides
+        other = lpv.DualCertificate(
+            tuple(data.draw(_mult) for _ in lp.rows),
+            None if dual.cap is None else data.draw(_mult))
+        for v in (value, other.value(lp)):
+            assert lpv.dual_holds(lp, other, v) == dual_holds_oracle(lp, other, v)
 
 
 class TestCaseBases:

@@ -15,11 +15,14 @@ interpreter.
 The script prints the exit codes that changed and the operations whose
 stdout differs where both trees exited 0, each with the top-level keys of
 its JSON ``result`` and ``config`` that differ, and exits 1 when any stdout
-differs or any exit code changed.  Each ``--drop-key KEY`` removes a key
-before hashing, so outputs can be compared apart from fields one tree adds,
-drops or changes on purpose: a plain KEY is a top-level key of the JSON
-``result``, and SECTION.KEY, such as ``config.node_budget``, a top-level key
-of another part of the document.
+differs or any exit code changed.  On stderr it prints each tree's total
+seconds per command (``thresholds``, ``lp``, ``count`` and ``scan``), so one
+run gives both the byte check and the before/after time.
+
+Each ``--drop-key KEY`` removes a key before hashing, so outputs can be
+compared apart from fields one tree adds, drops or changes on purpose: a
+plain KEY is a top-level key of the JSON ``result``, and SECTION.KEY, such as
+``config.node_budget``, a top-level key of another part of the document.
 """
 
 from __future__ import annotations
@@ -31,7 +34,8 @@ import io
 import json
 import subprocess
 import sys
-from collections import Counter
+import time
+from collections import Counter, defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -61,8 +65,9 @@ def _key_digests(obj: dict) -> dict:
 
 
 def dump(src: str, drop: list[str]) -> dict:
-    """{op_id: [exit code, sha256 of stdout, sha256 of each result and config
-    key]} for every op, run from src."""
+    """{"ops": {op_id: [exit code, sha256 of stdout, sha256 of each result and
+    config key]}, "seconds": {command: total seconds}} for every op, run from
+    src."""
     sys.path[:0] = [src, str(ROOT / "perfbench")]
     import workloads
     from rtlab import cli
@@ -82,11 +87,13 @@ def dump(src: str, drop: list[str]) -> dict:
              ["lp", "--k", str(k), "--s", str(s), "--variant", "mid-high", "--format", "json"])
             for k in range(workloads.LP_MID_HIGH_K.stop, K_MAX + 1)
             for s in range(workloads.s0(k) + 1, k * (k - 1) // 2 + 1)]
-    out = {}
+    out, seconds = {}, defaultdict(float)
     for op_id, _, argv in ops:
         buf = io.StringIO()
+        start = time.perf_counter()
         with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
             rc = cli.main(argv)
+        seconds[argv[0]] += time.perf_counter() - start
         text, keys = buf.getvalue(), {}
         if rc == 0:
             obj = _without(json.loads(text), drop)
@@ -94,7 +101,7 @@ def dump(src: str, drop: list[str]) -> dict:
             if drop:
                 text = json.dumps(obj, indent=2)
         out[op_id] = [rc, hashlib.sha256(text.encode()).hexdigest(), keys]
-    return out
+    return {"ops": out, "seconds": seconds}
 
 
 def run_tree(src: str, drop: list[str]) -> dict:
@@ -119,6 +126,10 @@ def main() -> int:
     if len(args.trees) != 2:
         ap.error("give OLD_SRC and NEW_SRC")
     old, new = (run_tree(str(Path(t).resolve()), args.drop) for t in args.trees)
+    for tree, run in zip(args.trees, (old, new)):
+        times = ", ".join(f"{cmd} {s:.2f}" for cmd, s in run["seconds"].items())
+        print(f"seconds per command in {tree}: {times}", file=sys.stderr)
+    old, new = old["ops"], new["ops"]
     changed_rc = Counter((old[k][0], new[k][0]) for k in old if old[k][0] != new[k][0])
     differ = sorted(k for k in old if old[k][0] == new[k][0] == 0 and old[k][1] != new[k][1])
     both_ok = sum(old[k][0] == new[k][0] == 0 for k in old)
