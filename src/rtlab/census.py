@@ -527,7 +527,7 @@ def evaluate(poly: CensusPolynomial, r: int) -> CountResult:
                        time.perf_counter() - t0, poly.nodes_visited)
 
 
-# -- auto strategy and comparisons ---------------------------------------------------
+# -- auto strategy -------------------------------------------------------------------
 
 def count_colorings(g: Graph, k: int, s: int, r: int, method: str = "auto",
                     node_budget: int = DEFAULT_NODE_BUDGET,
@@ -539,6 +539,8 @@ def count_colorings(g: Graph, k: int, s: int, r: int, method: str = "auto",
     clique, and with no k-clique present the constraint is empty, so both
     cases count r**m directly.
     """
+    if r < 0:
+        raise ContractViolationError(f"count needs r >= 0, got {r}")
     if method == "brute":
         return count_brute(g, k, s, r, coloring_budget=coloring_budget)
     if method not in ("auto", "census"):
@@ -565,18 +567,6 @@ def count_colorings(g: Graph, k: int, s: int, r: int, method: str = "auto",
 def _census_t_max(g: Graph, r: int) -> int:
     """The census t_max for r colors: at least 16, to serve r <= 16, and at most m."""
     return max(1, min(g.m, max(16, r)))
-
-
-def compare_vs_turan(g: Graph, k: int, s: int, r: int, **kwargs):
-    """Exact ordering of count(G) against r ** turan_ex(n, k).
-
-    The balanced (k-1)-partite graph has no k-clique, so its count needs no
-    enumeration.  Returns (ordering, CountResult for G, reference count).
-    """
-    res = count_colorings(g, k, s, r, **kwargs)
-    ref = r ** turan_ex(g.n, k)
-    ordering = (res.value > ref) - (res.value < ref)
-    return ordering, res, ref
 
 
 # -- extremal scans --------------------------------------------------------------------
@@ -667,7 +657,6 @@ def _scan_row(n, k, s, r, turan_count, count_kwargs, task):
 
 def extremal_scan(n: int, k: int, s: int, r: int,
                   family: str = "complete_multipartite",
-                  graphs: list[Graph] | None = None,
                   graph6_path=None, jobs: int = 1, cache: "CensusCache | None" = None,
                   **count_kwargs) -> ScanResult:
     """Count a graph family exactly and rank it; per-graph budget errors are
@@ -677,8 +666,7 @@ def extremal_scan(n: int, k: int, s: int, r: int,
     if family == "complete_multipartite":
         items = [(complete_multipartite(parts), parts) for parts in integer_partitions(n)]
     elif family == "graph6_file":
-        source = graphs if graphs is not None else read_graph6_file(graph6_path)
-        items = [(g, None) for g in source]
+        items = [(g, None) for g in read_graph6_file(graph6_path)]
     else:
         raise ContractViolationError(f"unknown scan family {family!r}")
     turan_count = r ** turan_ex(n, k)

@@ -59,15 +59,17 @@ def _int_range(text: str) -> range:
     return values
 
 
-def _positive_int(text: str) -> int:
-    """argparse type of --threads: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
-    return value
+def _int_at_least(least: int, what: str):
+    """argparse type of an integer of at least `least`, called a `what` integer."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < least:
+            raise argparse.ArgumentTypeError(f"{text!r} is not a {what} integer")
+        return value
+    return parse
 
 
 def _part_sizes(text: str) -> list[int]:
@@ -81,7 +83,8 @@ def _part_sizes(text: str) -> list[int]:
 
 def _load_config_file(path) -> dict:
     """The shared options a config file sets, checked with the flags' own
-    types and choices; an unreadable file or a bad value is a usage error."""
+    types and choices; an unreadable file, an unknown key or a bad value is a
+    usage error."""
     argv = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -92,8 +95,9 @@ def _load_config_file(path) -> dict:
                 if "=" not in line:
                     raise ContractViolationError(f"config line {raw!r} is not key = value")
                 key, val = (x.strip() for x in line.split("=", 1))
-                if key.replace("-", "_") in DEFAULTS:
-                    argv.append(f"--{key.replace('_', '-')}={val}")
+                if key.replace("-", "_") not in DEFAULTS:
+                    raise _UsageError(f"config file {path}: unknown key {key!r}")
+                argv.append(f"--{key.replace('_', '-')}={val}")
     except OSError as exc:
         raise _UsageError(f"cannot read config file {path}: {exc.strerror}") from None
     try:
@@ -254,19 +258,18 @@ def _run_scan(args, cfg) -> _Output:
 
 
 def _run_lp(args, cfg) -> _Output:
-    extra = {}
     given = (args.p is not None) + (args.j is not None)
-    if args.variant == "low":
-        if given:
-            raise _UsageError("--p and --j apply only to --variant mid-high")
-        cert = lpverify.certify_low(args.k, args.s)
-    else:
-        if given == 1:
-            raise _UsageError("give both --p and --j, or neither for the L_opt witness")
-        p, j = (args.p, args.j) if given else thresholds.l_opt(args.k, args.s)[1]
-        lp = lpverify.build_lp(args.k, args.s, lpverify.VARIANT_MID_HIGH, p=p, j=j)
-        cert = lpverify.certify(lp, lpverify.claimed_solution(args.k, args.s, p, j))
-        extra["case_bases_ordering"] = lpverify.compare_case_bases(args.k, args.s, p, j)
+    if given and args.variant == "low":
+        raise _UsageError("--p and --j apply only to --variant mid-high")
+    if given == 1:
+        raise _UsageError("give both --p and --j, or neither for the L_opt witness")
+    lp = lpverify.build_lp(args.k, args.s, args.p, args.j)
+    if lp.variant != args.variant.upper().replace("-", "_"):
+        raise ContractViolationError(
+            f"(k, s) = {(args.k, args.s)} is a {lp.variant} program, not --variant {args.variant}")
+    cert = lpverify.certify(lp, lpverify.claimed_solution(lp))
+    extra = {} if lp.free_cap is None else {
+        "case_bases_ordering": lpverify.compare_case_bases(lp)}
     md = (f"lp k={cert.lp.k} s={cert.lp.s} variant={cert.lp.variant}: "
           f"feasible={cert.feasible} optimal={cert.optimal} "
           f"value={cert.claimed_value} vertex_max={cert.vertex_max} "
@@ -329,10 +332,12 @@ def _required_ints(p, names: str) -> None:
 
 def _add_common(p):
     p.add_argument("--format", choices=("md", "csv", "json"), default=None)
-    p.add_argument("--threads", type=_positive_int, default=None,
+    p.add_argument("--threads", type=_int_at_least(1, "positive"), default=None,
                    help="processes that count scan rows")
-    p.add_argument("--node-budget", dest="node_budget", type=int, default=None)
-    p.add_argument("--coloring-budget", dest="coloring_budget", type=int, default=None)
+    p.add_argument("--node-budget", dest="node_budget", type=_int_at_least(0, "non-negative"),
+                   default=None)
+    p.add_argument("--coloring-budget", dest="coloring_budget",
+                   type=_int_at_least(0, "non-negative"), default=None)
     p.add_argument("--cache", default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--config", default=None)

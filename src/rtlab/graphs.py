@@ -69,9 +69,6 @@ class Graph:
     def edge_index(self, u: int, v: int) -> int:
         return self._index[(u, v) if u < v else (v, u)]
 
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
     @property
     def graph6(self) -> str:
         """The graph6 text, written on first use and kept."""
@@ -251,10 +248,6 @@ class VertexPartition:
     """class_of[v] is the class index of vertex v."""
 
     class_of: tuple[int, ...]
-
-    @property
-    def num_classes(self) -> int:
-        return max(self.class_of) + 1 if self.class_of else 0
 
     def internal_edges(self, g: Graph) -> int:
         return sum(1 for u, v in g.edges if self.class_of[u] == self.class_of[v])

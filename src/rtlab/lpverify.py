@@ -24,12 +24,11 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import comb
 
 from .errors import ContractViolationError
 from .exactnum import EQUAL, PowerProduct
-from .thresholds import b_param, bracket_terms, cap_A, cap_index, i_star, l_param, r0_base, s0, \
-    telescoping_terms
+from .thresholds import Regime, bracket_terms, cap_A, cap_index, l_opt, l_param, regime_params, \
+    telescoping_terms, witness_feasible
 
 VARIANT_LOW = "LOW"
 VARIANT_MID_HIGH = "MID_HIGH"
@@ -81,72 +80,59 @@ def _frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def build_lp(k: int, s: int, variant: str = VARIANT_LOW,
-             p: int | None = None, j: int | None = None) -> StabilityLP:
-    """Assemble the constraint system for (k, s).
+def build_lp(k: int, s: int, p: int | None = None, j: int | None = None) -> StabilityLP:
+    """Assemble the constraint system for (k, s), in the regime
+    thresholds.regime_params gives it.
 
-    LOW carries one suffix row per i in [1, i*]; the last row's range can
-    clamp at index 1, in which case e_1 joins the instance with objective
-    weight of factor 1.  MID_HIGH extends the rows through i = k-2 and adds
-    the cap on the low indices the suffix rows cannot reach, weighted by
-    the feasible witness pair (p, j).
+    LOW (s <= s0) carries one suffix row per i in [1, i*]; the last row's
+    range can clamp at index 1, in which case e_1 joins the instance with
+    objective weight of factor 1.  MID_HIGH extends the rows through i = k-2
+    and adds the cap on the low indices the suffix rows cannot reach,
+    weighted by the feasible witness pair (p, j), by default the L_opt
+    witness.  Either way the top row i is len(rows).
     """
-    if k < 4 or not 2 <= s <= comb(k, 2):
-        raise ContractViolationError(f"need k >= 4 and 2 <= s <= C(k,2), got {(k, s)}")
-    if variant == VARIANT_LOW:
-        if s > s0(k):
-            raise ContractViolationError(f"s = {s} is beyond s0(k) = {s0(k)}; use MID_HIGH")
-        top = i_star(k, s)
+    params = regime_params(k, s)
+    if params.regime is Regime.LOW:
+        if (p, j) != (None, None):
+            raise ContractViolationError(
+                f"s = {s} is in the LOW range, up to {params.s0}: its program takes no witness")
         rows = tuple(SuffixConstraint(Fraction(k - i - 1, k - i),
                                       max(1, s - cap_A(k, k - i)))
-                     for i in range(1, top + 1))
+                     for i in range(1, params.i_star + 1))
         lo_min = min(c.lo for c in rows)
-        return StabilityLP(k, s, variant, rows,
+        return StabilityLP(k, s, VARIANT_LOW, rows,
                            variables=tuple(range(max(2, lo_min), s)),
                            include_e1=lo_min <= 1)
-    if variant == VARIANT_MID_HIGH:
-        if s <= s0(k):
-            raise ContractViolationError(f"s = {s} is within s0(k) = {s0(k)}; use LOW")
-        if p is None or j is None:
-            raise ContractViolationError("MID_HIGH needs a witness pair (p, j)")
-        if b_param(k, p, j) > comb(k, 2) - s + 2:
-            raise ContractViolationError(f"(p, j) = {(p, j)} infeasible for (k, s) = {(k, s)}")
-        rows = tuple(SuffixConstraint(Fraction(k - i - 1, k - i), s - cap_A(k, k - i))
-                     for i in range(1, k - 1))
-        return StabilityLP(k, s, variant, rows,
-                           variables=tuple(range(2, s)),
-                           include_e1=False,
-                           free_cap=l_param(k, s, p, j),
-                           free_range=(2, cap_index(k, s)),
-                           p=p, j=j)
-    raise ContractViolationError(f"unknown variant {variant!r}")
+    if (p, j) == (None, None):
+        _, (p, j) = l_opt(k, s)
+    elif None in (p, j) or not witness_feasible(k, s, p, j):
+        raise ContractViolationError(f"(p, j) = {(p, j)} is no witness for (k, s) = {(k, s)}")
+    rows = tuple(SuffixConstraint(Fraction(k - i - 1, k - i), s - cap_A(k, k - i))
+                 for i in range(1, k - 1))
+    return StabilityLP(k, s, VARIANT_MID_HIGH, rows,
+                       variables=tuple(range(2, s)),
+                       include_e1=False,
+                       free_cap=l_param(k, s, p, j),
+                       free_range=(2, cap_index(k, s)),
+                       p=p, j=j)
 
 
-def claimed_solution(k: int, s: int, p: int | None = None,
-                     j: int | None = None) -> dict[int, Fraction]:
+def _telescoped(lp: StabilityLP) -> list[tuple[int, Fraction]]:
+    """The telescoping terms through the program's top row; none at s = 2."""
+    return [] if lp.s == 2 else telescoping_terms(lp.k, lp.s, len(lp.rows))
+
+
+def claimed_solution(lp: StabilityLP) -> dict[int, Fraction]:
     """The closed-form optimum: the telescoping terms, plus the cap for MID_HIGH.
 
-    LOW (s <= s0) takes the terms through i*; s = 2 has no objective-bearing
-    index, so its point is empty with value 1.  MID_HIGH takes the terms
-    through k-2 and puts the whole cap l_param(k, s, p, j) on the top index
-    of the free block: thresholds.bracket_terms, as in case_bases' upper bound.
+    LOW takes the terms through i*; s = 2 has no objective-bearing index, so
+    its point is empty with value 1.  MID_HIGH puts the whole cap on the top
+    index of the free block: thresholds.bracket_terms, as in case_bases'
+    upper bound.
     """
-    if k < 4 or not 2 <= s <= comb(k, 2):
-        raise ContractViolationError(f"need k >= 4 and 2 <= s <= C(k,2), got {(k, s)}")
-    if s <= s0(k):
-        return {} if s == 2 else dict(telescoping_terms(k, s, i_star(k, s)))
-    if p is None or j is None:
-        raise ContractViolationError(
-            f"s = {s} is beyond s0(k) = {s0(k)}: the MID_HIGH point needs a witness pair (p, j)")
-    return dict(bracket_terms(k, s, l_param(k, s, p, j)))
-
-
-def support_indices(k: int, s: int, top_i: int | None = None) -> tuple[int, ...]:
-    """Indices carrying mass in the claimed optimum (the telescoping sum)."""
-    if s == 2:
-        return ()
-    top = i_star(k, s) if top_i is None else top_i
-    return tuple(idx for idx, _ in telescoping_terms(k, s, top))
+    if lp.free_cap is not None:
+        return dict(bracket_terms(lp.k, lp.s, lp.free_cap))
+    return dict(_telescoped(lp))
 
 
 @dataclass(frozen=True)
@@ -431,8 +417,7 @@ def certify(lp: StabilityLP, point: dict[int, Fraction]) -> LPCertificate:
         claimed_value = objective_value(point)
         optimal = feasible and claimed_value.compare(best) == EQUAL
 
-    top = i_star(lp.k, lp.s) if lp.variant == VARIANT_LOW else lp.k - 2
-    supp = support_indices(lp.k, lp.s, top_i=top)
+    supp = tuple(idx for idx, _ in _telescoped(lp))
     actual = sum((point[i] for i in supp if i in point), _ZERO)
     expected = Fraction(2)
     return LPCertificate(
@@ -445,29 +430,17 @@ def certify(lp: StabilityLP, point: dict[int, Fraction]) -> LPCertificate:
         support_sum_matches=actual == expected, support=supp)
 
 
-def certify_low(k: int, s: int) -> LPCertificate:
-    return certify(build_lp(k, s, VARIANT_LOW), claimed_solution(k, s))
+def case_bases(lp: StabilityLP) -> tuple[PowerProduct, PowerProduct]:
+    """The two bracketed bounds that differ only in the net weight (L-2 vs L,
+    L the cap weight) on the cap index factor (thresholds.bracket_terms)."""
+    if lp.free_cap is None:
+        raise ContractViolationError("case bases need a MID_HIGH program")
+    return (PowerProduct(bracket_terms(lp.k, lp.s, lp.free_cap - 2)),
+            PowerProduct(bracket_terms(lp.k, lp.s, lp.free_cap)))
 
 
-def case_bases(k: int, s: int, p: int, j: int) -> tuple[PowerProduct, PowerProduct]:
-    """The two bracketed bounds that differ only in the net weight (L-2 vs L)
-    on the cap index factor (thresholds.bracket_terms)."""
-    if s < s0(k):
-        raise ContractViolationError(f"case bases need s >= s0(k) = {s0(k)}")
-    weight = l_param(k, s, p, j)
-    return (PowerProduct(bracket_terms(k, s, weight - 2)),
-            PowerProduct(bracket_terms(k, s, weight)))
-
-
-def compare_case_bases(k: int, s: int, p: int, j: int) -> int:
+def compare_case_bases(lp: StabilityLP) -> int:
     """Exact ordering of the two bounds; never greater, equal when the head
     factor is 1."""
-    lower, upper = case_bases(k, s, p, j)
+    lower, upper = case_bases(lp)
     return lower.compare(upper)
-
-
-def low_base_matches_threshold(k: int, s: int) -> bool:
-    """Cross-module identity: the certified LOW optimum equals the r0 bracket."""
-    cert = certify_low(k, s)
-    base, _ = r0_base(k, s)
-    return cert.vertex_max.compare(base) == EQUAL

@@ -96,28 +96,25 @@ def i_star(k: int, s: int) -> int:
     raise ContractViolationError(f"no witness i exists for (k, s) = {(k, s)}")
 
 
+def witness_feasible(k: int, s: int, p: int, j: int) -> bool:
+    """Whether the pair (p, j) may witness the cell (k, s): b(k, p, j) <= C(k,2) - s + 2."""
+    return b_param(k, p, j) <= comb(k, 2) - s + 2
+
+
 def p_star(k: int, s: int) -> int:
     """Largest p in [2, k-1] whose (p, k-1) pair stays feasible at this s."""
-    bound = comb(k, 2) - s + 2
-    best = None
-    for p in range(2, k):
-        if b_param(k, p, k - 1) <= bound:
-            best = p
-    if best is None:
+    feasible = [p for p in range(2, k) if witness_feasible(k, s, p, k - 1)]
+    if not feasible:
         raise ContractViolationError(f"no witness p exists for (k, s) = {(k, s)}")
-    return best
+    return feasible[-1]
 
 
 def j_star(k: int, s: int) -> int:
     """Largest j in [1, k-1] whose (2, j) pair stays feasible at this s."""
-    bound = comb(k, 2) - s + 2
-    best = None
-    for j in range(1, k):
-        if b_param(k, 2, j) <= bound:
-            best = j
-    if best is None:
+    feasible = [j for j in range(1, k) if witness_feasible(k, s, 2, j)]
+    if not feasible:
         raise ContractViolationError(f"no witness j exists for (k, s) = {(k, s)}")
-    return best
+    return feasible[-1]
 
 
 @dataclass(frozen=True)

@@ -155,7 +155,8 @@ def test_criterion_6_lp_certificates():
     failures = []
     for k in range(4, 9):
         for s in range(2, th.s0(k) + 1):
-            cert = lpv.certify_low(k, s)
+            lp = lpv.build_lp(k, s)
+            cert = lpv.certify(lp, lpv.claimed_solution(lp))
             base, params = th.r0_base(k, s)
             if not cert.feasible:
                 failures.append((k, s, "infeasible"))

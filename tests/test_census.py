@@ -10,11 +10,11 @@ from math import comb
 import pytest
 
 from rtlab import census
-from rtlab.census import CensusCache, build_census, compare_vs_turan, \
-    count_brute, count_colorings, evaluate, extremal_scan, integer_partitions, \
-    question2_ratio
+from rtlab.census import CensusCache, build_census, count_brute, count_colorings, evaluate, \
+    extremal_scan, integer_partitions, question2_ratio
 from rtlab.errors import ContractViolationError, ResourceLimitError
 from rtlab.graphs import Graph, complete, complete_multipartite, k_cliques, turan_graph
+from rtlab.thresholds import turan_ex
 
 from census_walk_oracle import walk_census
 
@@ -239,6 +239,15 @@ class TestAutoStrategy:
         res = count_colorings(T36, 4, 3, 7)
         assert res.value == 7 ** 12 and res.method == "trivial_kfree"
 
+    @pytest.mark.parametrize("method", ["auto", "census", "brute"])
+    def test_negative_r_rejected(self, method):
+        with pytest.raises(ContractViolationError, match="r >= 0"):
+            count_colorings(K4, 4, 3, -1, method=method)
+
+    @pytest.mark.parametrize("method", ["auto", "census"])
+    def test_zero_colors_color_nothing(self, method):
+        assert count_colorings(K4, 4, 3, 0, method=method).value == 0
+
     def test_census_route(self):
         res = count_colorings(K4, 4, 3, 3)
         assert res.method == "census"
@@ -269,17 +278,15 @@ class TestAutoStrategy:
 
 
 class TestCompareVsTuran:
+    # count(G) against the Turan graph's r ** ex(n, k): it has no k-clique
     def test_turan_graph_itself(self):
-        ordering, res, ref = compare_vs_turan(T36, 4, 5, 7)
-        assert ordering == 0 and res.value == ref
+        assert count_colorings(T36, 4, 5, 7).value == 7 ** turan_ex(6, 4)
 
     def test_complete_beats_when_r_small(self):
-        ordering, res, ref = compare_vs_turan(K5, 4, 4, 2)
-        assert ordering == 1 and res.value == 2 ** 10 and ref == 2 ** 8
+        assert count_colorings(K5, 4, 4, 2).value == 2 ** 10 > 2 ** turan_ex(5, 4) == 2 ** 8
 
     def test_monochromatic_loses(self):
-        ordering, res, ref = compare_vs_turan(K4, 4, 2, 3)
-        assert ordering == -1 and res.value == 3 and ref == 3 ** 5
+        assert count_colorings(K4, 4, 2, 3).value == 3 < 3 ** turan_ex(4, 4) == 3 ** 5
 
 
 class TestScan:

@@ -110,6 +110,19 @@ class TestCount:
                           "--r", "2", "--format", "json")
         assert "elapsed" in err and "elapsed" not in out
 
+    @pytest.mark.parametrize("argv", [
+        "count --complete 3 --k 3 --s 2 --r -1",
+        "count --turan 6 4 --k 4 --s 3 --r -3",
+        "count --complete 3 --k 3 --s 2 --r -1 --method census",
+        "count --complete 3 --k 3 --s 2 --r -1 --method brute",
+        "scan --n 4 --k 3 --s 3 --r -1",
+        "scan --n 4 --k 3 --s 3 --r -1 --threads 2",
+    ])
+    def test_negative_r_contract(self, capsys, argv):
+        code, out, err = run(capsys, *argv.split())
+        assert code == EXIT_CONTRACT and out == ""
+        assert "r >= 0" in err
+
 
 class TestDeterminism:
     def test_json_byte_identical(self, capsys):
@@ -239,6 +252,19 @@ class TestLpAndPairs:
         assert code == EXIT_USAGE and out == ""
         assert "usage error" in err and "--p" in err
 
+    @pytest.mark.parametrize("argv", [
+        "--k 4 --s 5",                                   # a MID_HIGH cell as --variant low
+        "--k 4 --s 3 --variant mid-high",                # a LOW cell as mid-high
+        "--k 4 --s 3 --variant mid-high --p 2 --j 3",
+        "--k 6 --s 15 --variant mid-high --p 3 --j 1",   # infeasible witness
+        "--k 3 --s 2",                                   # k outside formula scope
+        "--k 4 --s 7",                                   # s > C(k, 2)
+    ])
+    def test_lp_regime_contract(self, capsys, argv):
+        code, out, err = run(capsys, "lp", *argv.split())
+        assert code == EXIT_CONTRACT and out == ""
+        assert err.startswith("error:")
+
     def test_pairs(self, capsys):
         code, out, _ = run(capsys, "pairs", "--k", "4..9", "--s-min", "3", "--format", "json")
         assert code == EXIT_OK
@@ -314,6 +340,27 @@ class TestConfigLayers:
 
     def test_missing_config_file_usage(self, capsys, tmp_path):
         assert "No such file" in self._bad_config(capsys, tmp_path / "absent.cfg")
+
+    def test_config_unknown_key_usage(self, capsys, tmp_path):
+        cfg = tmp_path / "rtlab.cfg"
+        cfg.write_text("format = json\nnode-budgt = 5\n")
+        assert "unknown key 'node-budgt'" in self._bad_config(capsys, cfg)
+
+    @pytest.mark.parametrize("flag", ["node-budget", "coloring-budget"])
+    def test_negative_budget_usage(self, capsys, tmp_path, flag):
+        code, out, err = run(capsys, "count", "--complete", "4", "--k", "4", "--s", "3",
+                             "--r", "3", f"--{flag}", "-5")
+        assert code == EXIT_USAGE and out == ""
+        assert "'-5' is not a non-negative integer" in err
+        cfg = tmp_path / "rtlab.cfg"
+        cfg.write_text(f"{flag} = -1\n")
+        assert "'-1' is not a non-negative integer" in self._bad_config(capsys, cfg)
+
+    def test_zero_node_budget_is_a_budget_exit(self, capsys):
+        code, out, err = run(capsys, "count", "--complete", "4", "--k", "4", "--s", "3",
+                             "--r", "3", "--node-budget", "0")
+        assert code == EXIT_RESOURCE and out == ""
+        assert "node budget 0" in err
 
     def test_env_cache_override(self, capsys, tmp_path, monkeypatch):
         cache_path = tmp_path / "env.jsonl"

@@ -1,6 +1,7 @@
 """Stability-program construction, claimed optimum, vertex certificates."""
 
 import re
+from dataclasses import replace
 from fractions import Fraction as Fr
 from math import comb
 
@@ -13,6 +14,17 @@ from rtlab.errors import ContractViolationError
 from rtlab.exactnum import EQUAL, PowerProduct
 from rtlab import lpverify as lpv
 from rtlab import thresholds as th
+
+
+def _certify(k, s):
+    """The certificate `rtlab lp` prints for (k, s): the claimed point of
+    the program build_lp gives."""
+    lp = lpv.build_lp(k, s)
+    return lpv.certify(lp, lpv.claimed_solution(lp))
+
+
+def _claimed(k, s, p=None, j=None):
+    return lpv.claimed_solution(lpv.build_lp(k, s, p, j))
 
 
 class TestBuild:
@@ -40,41 +52,67 @@ class TestBuild:
         assert lp.variables == (2, 3, 4, 5)
 
     def test_mid_high_instance(self):
-        lp = lpv.build_lp(6, 9, lpv.VARIANT_MID_HIGH, p=4, j=5)
+        lp = lpv.build_lp(6, 9, p=4, j=5)
+        assert lp.variant == lpv.VARIANT_MID_HIGH
         assert len(lp.rows) == 4
         assert lp.free_cap == th.l_param(6, 9, 4, 5)
         assert lp.free_range == (2, 9 - th.cap_A(6, 2) - 1)
         assert lp.variables == tuple(range(2, 9))
 
     def test_variant_guards(self):
+        # the regime comes from (k, s): a MID s builds MID_HIGH, a LOW s LOW
+        assert lpv.build_lp(4, 5).variant == lpv.VARIANT_MID_HIGH
+        assert lpv.build_lp(4, 4).variant == lpv.VARIANT_LOW
         with pytest.raises(ContractViolationError):
-            lpv.build_lp(4, 5)                                   # MID s in LOW builder
+            lpv.build_lp(4, 3, p=2, j=3)     # a witness for a LOW s
         with pytest.raises(ContractViolationError):
-            lpv.build_lp(4, 3, lpv.VARIANT_MID_HIGH, p=2, j=3)   # LOW s in MID builder
+            lpv.build_lp(6, 15, p=3, j=1)    # infeasible witness
         with pytest.raises(ContractViolationError):
-            lpv.build_lp(6, 15, lpv.VARIANT_MID_HIGH, p=3, j=1)  # infeasible witness
-        with pytest.raises(ContractViolationError):
-            lpv.build_lp(4, 5, lpv.VARIANT_MID_HIGH)             # missing witness
+            lpv.build_lp(4, 5, p=2)          # half a witness
+        # no witness: the L_opt witness
+        lp = lpv.build_lp(4, 5)
+        assert (lp.p, lp.j) == th.l_opt(4, 5)[1] and lp.free_cap == th.l_opt(4, 5)[0]
+        for k, s in [(3, 2), (4, 1), (4, 7)]:
+            with pytest.raises(ContractViolationError):
+                lpv.build_lp(k, s)
+
+
+    def test_top_row_is_row_count(self):
+        # claimed_solution, case_bases and the support read i* (LOW) or
+        # k-2 (MID_HIGH) as len(rows), at every witness
+        for k in range(4, 13):
+            for s in range(2, comb(k, 2) + 1):
+                params = th.regime_params(k, s)
+                if params.regime is th.Regime.LOW:
+                    assert len(lpv.build_lp(k, s).rows) == params.i_star
+                    continue
+                for p in range(2, k):
+                    for j in range(1, k):
+                        if th.witness_feasible(k, s, p, j):
+                            assert len(lpv.build_lp(k, s, p, j).rows) == k - 2
 
 
 class TestClaimedSolution:
     def test_examples(self):
-        assert lpv.claimed_solution(5, 4) == {3: Fr(4, 3), 2: Fr(1, 6)}
-        assert lpv.claimed_solution(4, 3) == {2: Fr(3, 2)}
-        assert lpv.claimed_solution(4, 2) == {}
-        assert lpv.claimed_solution(7, 2) == {}
+        assert _claimed(5, 4) == {3: Fr(4, 3), 2: Fr(1, 6)}
+        assert _claimed(4, 3) == {2: Fr(3, 2)}
+        assert _claimed(4, 2) == {}
+        assert _claimed(7, 2) == {}
         # MID_HIGH: the terms through k-2 plus the whole cap on s - A(k,2) - 1
-        assert lpv.claimed_solution(4, 5, 3, 3) == {4: Fr(3, 2), 3: Fr(1, 2), 2: Fr(4)}
+        assert _claimed(4, 5, 3, 3) == {4: Fr(3, 2), 3: Fr(1, 2), 2: Fr(4)}
 
     def test_low_only(self):
-        # beyond s0 the point needs a witness pair
+        # beyond s0 the point carries the cap of the program's witness pair:
+        # by default the L_opt pair, and half a pair is refused
+        assert _claimed(4, 5) == _claimed(4, 5, 3, 3)
+        assert _claimed(4, 5, 2, 3)[2] == th.l_param(4, 5, 2, 3)
         with pytest.raises(ContractViolationError):
-            lpv.claimed_solution(4, 5)
+            _claimed(4, 5, 2)
 
 
 class TestCertify:
     def test_5_4(self):
-        cert = lpv.certify_low(5, 4)
+        cert = _certify(5, 4)
         assert cert.feasible and cert.optimal
         assert cert.claimed_value == PowerProduct(((3, Fr(4, 3)), (2, Fr(1, 6))))
         assert cert.support_sum_actual == Fr(3, 2)
@@ -86,7 +124,7 @@ class TestCertify:
         assert cert.argmax_vertex == (Fr(1, 6), Fr(4, 3))
 
     def test_4_3(self):
-        cert = lpv.certify_low(4, 3)
+        cert = _certify(4, 3)
         assert cert.optimal
         assert cert.claimed_value == PowerProduct(((2, Fr(3, 2)),))
         # i* = 1, so the telescoped sum is 3/2 and the mismatch is flagged
@@ -94,12 +132,12 @@ class TestCertify:
 
     def test_4_4_support_sum_reaches_two(self):
         # (4,4) has i* = 2 = k-2: the telescoped sum really is 2
-        cert = lpv.certify_low(4, 4)
+        cert = _certify(4, 4)
         assert cert.optimal
         assert cert.support_sum_actual == Fr(2) and cert.support_sum_matches
 
     def test_s2_trivial_instance(self):
-        cert = lpv.certify_low(5, 2)
+        cert = _certify(5, 2)
         assert cert.feasible and cert.optimal
         assert cert.claimed_value == PowerProduct.one()
         assert cert.vertex_max == PowerProduct.one()
@@ -121,7 +159,7 @@ class TestCertify:
     def test_telescoped_support_sum(self):
         for k in range(4, 17):
             for s in range(3, th.s0(k) + 1):
-                cert = lpv.certify_low(k, s)
+                cert = _certify(k, s)
                 i = th.i_star(k, s)
                 assert cert.support_sum_actual == Fr(k - i, k - i - 1)
                 assert cert.support_sum_matches == (i == k - 2)
@@ -129,18 +167,20 @@ class TestCertify:
     def test_feasible_and_tight_low_range(self):
         for k in range(4, 17):
             for s in range(2, th.s0(k) + 1):
-                cert = lpv.certify_low(k, s)
+                cert = _certify(k, s)
                 assert cert.feasible and cert.optimal
                 if s >= 3:
                     assert cert.tight_rows
 
     def test_base_identity_small(self):
+        # the certified LOW optimum equals the r0 bracket
         for k in (4, 5, 6):
             for s in range(2, th.s0(k) + 1):
-                assert lpv.low_base_matches_threshold(k, s)
+                base, _ = th.r0_base(k, s)
+                assert _certify(k, s).vertex_max.compare(base) == EQUAL
 
     def test_json_certificate(self):
-        obj = lpv.certify_low(5, 4).to_json_obj()
+        obj = _certify(5, 4).to_json_obj()
         assert obj["optimal"] is True
         assert obj["claimed_point"] == {"2": "1/6", "3": "4/3"}
         assert obj["support_sum_actual"] == "3/2"
@@ -154,7 +194,7 @@ class TestCertify:
         # let the maximum grow; the vertex oracle agrees on every relaxation
         for (k, s) in [(5, 4), (6, 6), (6, 5), (7, 6)]:
             lp = lpv.build_lp(k, s)
-            cert = lpv.certify(lp, lpv.claimed_solution(k, s))
+            cert = lpv.certify(lp, lpv.claimed_solution(lp))
             widest = min(range(len(lp.rows)), key=lambda i: lp.rows[i].lo)
             for drop in range(len(lp.rows)):
                 if drop == widest:
@@ -163,14 +203,9 @@ class TestCertify:
                     k, s, lp.variant,
                     tuple(c for i, c in enumerate(lp.rows) if i != drop),
                     lp.variables, lp.include_e1)
-                rcert = lpv.certify(relaxed, lpv.claimed_solution(k, s))
+                rcert = lpv.certify(relaxed, lpv.claimed_solution(lp))
                 assert rcert.vertex_max.compare(cert.vertex_max) >= 0
                 assert rcert.vertex_max.compare(_vertex_oracle(relaxed)[0]) == EQUAL
-
-
-def _mid_high_lp(k, s):
-    _, (p, j) = th.l_opt(k, s)
-    return lpv.build_lp(k, s, lpv.VARIANT_MID_HIGH, p=p, j=j)
 
 
 def _vertex_oracle(lp):
@@ -185,7 +220,7 @@ def _vertex_oracle(lp):
 
 class TestMidHighVertices:
     def test_zero_point_feasible_and_bounded(self):
-        lp = lpv.build_lp(4, 5, lpv.VARIANT_MID_HIGH, p=3, j=3)
+        lp = lpv.build_lp(4, 5, p=3, j=3)
         cert = lpv.certify(lp, {})
         assert cert.feasible and not cert.optimal
         # the certified maximum strictly dominates the empty point
@@ -194,10 +229,10 @@ class TestMidHighVertices:
     def test_claimed_point_is_case_bases_upper(self):
         for k in range(4, 11):
             for s in range(th.s0(k) + 1, comb(k, 2) + 1):
-                lp = _mid_high_lp(k, s)
-                cert = lpv.certify(lp, lpv.claimed_solution(k, s, lp.p, lp.j))
+                lp = lpv.build_lp(k, s)
+                cert = lpv.certify(lp, lpv.claimed_solution(lp))
                 assert cert.feasible and cert.optimal, (k, s)
-                assert cert.claimed_value == lpv.case_bases(k, s, lp.p, lp.j)[1]
+                assert cert.claimed_value == lpv.case_bases(lp)[1]
                 assert cert.support_sum_actual == 2 and cert.support_sum_matches
                 assert cert.dual.cap == s - th.cap_A(k, 2) - 1
 
@@ -206,7 +241,7 @@ class TestDualCertificate:
     @pytest.mark.parametrize("k", [4, 5, 6, 7])
     def test_matches_vertex_oracle(self, k):
         lps = [lpv.build_lp(k, s) for s in range(2, th.s0(k) + 1)]
-        lps += [_mid_high_lp(k, s) for s in range(th.s0(k) + 1, comb(k, 2) + 1)]
+        lps += [lpv.build_lp(k, s) for s in range(th.s0(k) + 1, comb(k, 2) + 1)]
         for lp in lps:
             best, vertices = _vertex_oracle(lp)
             cert = lpv.certify(lp, {})
@@ -214,7 +249,7 @@ class TestDualCertificate:
             assert cert.argmax_vertex in vertices
 
     def test_lowered_multiplier_fails(self):
-        for lp in (lpv.build_lp(7, 9), _mid_high_lp(6, 12)):
+        for lp in (lpv.build_lp(7, 9), lpv.build_lp(6, 12)):
             point, dual = lpv.greedy_optimum(lp)
             value = lpv.objective_value(point)
             assert lpv.dual_holds(lp, dual, value)
@@ -281,7 +316,7 @@ class TestDualCertificate:
             lpv.certify(lp, {})
 
     def test_cap_overlapping_a_row_raises(self):
-        lp = lpv.build_lp(5, 8, lpv.VARIANT_MID_HIGH, p=2, j=4)
+        lp = lpv.build_lp(5, 8, p=2, j=4)
         hi = min(c.lo for c in lp.rows)
         overlap = lpv.StabilityLP(lp.k, lp.s, lp.variant, lp.rows, lp.variables,
                                   lp.include_e1, lp.free_cap, (2, hi), lp.p, lp.j)
@@ -380,21 +415,33 @@ class TestRunLengthOracle:
             assert lpv.dual_holds(lp, other, v) == dual_holds_oracle(lp, other, v)
 
 
+def _at_s0(k, p, j):
+    """A MID_HIGH program moved to s = s0, the LOW cell whose head base is 1,
+    with the cap weight of (p, j): the case bases read only k, s and the cap."""
+    s = th.s0(k)
+    return replace(lpv.build_lp(k, s + 1), s=s, free_cap=th.l_param(k, s, p, j), p=p, j=j)
+
+
 class TestCaseBases:
     def test_examples_hold(self):
-        assert lpv.compare_case_bases(4, 5, 3, 3) <= 0
-        assert lpv.compare_case_bases(6, 15, 2, 2) <= 0
+        assert lpv.compare_case_bases(lpv.build_lp(4, 5, p=3, j=3)) <= 0
+        assert lpv.compare_case_bases(lpv.build_lp(6, 15, p=2, j=2)) <= 0
 
     def test_equality_when_head_factor_is_one(self):
         # s = s0 makes the head base 1, so the weight gap is invisible
         k = 5
-        s = th.s0(k)
-        assert lpv.compare_case_bases(k, s, 2, 4) == EQUAL
+        assert lpv.compare_case_bases(_at_s0(k, 2, 4)) == EQUAL
 
     def test_never_greater_sweep(self):
         for k in (4, 5, 6):
             for s in range(th.s0(k), comb(k, 2) + 1):
                 for p in range(2, k):
                     for j in range(1, k):
-                        if th.b_param(k, p, j) <= comb(k, 2) - s + 2:
-                            assert lpv.compare_case_bases(k, s, p, j) <= 0
+                        if th.witness_feasible(k, s, p, j):
+                            lp = (_at_s0(k, p, j) if s == th.s0(k)
+                                  else lpv.build_lp(k, s, p=p, j=j))
+                            assert lpv.compare_case_bases(lp) <= 0
+
+    def test_low_program_rejected(self):
+        with pytest.raises(ContractViolationError):
+            lpv.case_bases(lpv.build_lp(5, 4))

@@ -197,8 +197,10 @@ class TestLOpt:
             base, params = th.r0_base(k, s)
             w = params.l_opt_witness
             assert (params.l_opt, w) == th.l_opt(k, s)
-            assert base == lpv.case_bases(k, s, *w)[1], (k, s)
-            assert base == lpv.objective_value(lpv.claimed_solution(k, s, *w)), (k, s)
+            lp = lpv.build_lp(k, s)
+            assert (lp.free_cap, (lp.p, lp.j)) == (params.l_opt, w)
+            assert base == lpv.case_bases(lp)[1], (k, s)
+            assert base == lpv.objective_value(lpv.claimed_solution(lp)), (k, s)
 
     def test_report_reads_regime_params(self):
         for k, s in [(4, 5), (6, 15), (9, 20), (9, 36)]:
