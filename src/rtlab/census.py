@@ -24,6 +24,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import partial
+from itertools import accumulate
 from math import comb, perm
 from operator import lshift
 from pathlib import Path
@@ -158,8 +159,8 @@ def count_brute(g: Graph, k: int, s: int, r: int,
     showing at most s-1 distinct colors.  The definitional oracle."""
     import numpy as np
 
-    if r < 1 or s < 2:
-        raise ContractViolationError(f"count_brute needs r >= 1, s >= 2, got {(r, s)}")
+    if r < 0 or s < 2:
+        raise ContractViolationError(f"count_brute needs r >= 0, s >= 2, got {(r, s)}")
     t0 = time.perf_counter()
     m = g.m
     total = r ** m
@@ -211,11 +212,13 @@ def count_brute(g: Graph, k: int, s: int, r: int,
 #   * cliques with identical remaining edges are interchangeable, so their
 #     fields are sorted.
 
-def _frontier_plan(masks: list[int], m: int, s: int, width: int):
-    """The per-edge constants of the DP, as (steps, ones, width).
+class _Plan:
+    """The per-edge constants of the DP over one edge order.  An edge's step
+    is built when a census first reaches the edge, so an order that leaves
+    the race early never pays for the edges it did not reach.
 
-    ones has bit 0 of every slot set.  steps[e] labels edge e and holds, as
-    masks over the slot fields:
+    ones has bit 0 of every slot set and key_bits is the length of the widest
+    state key.  step(e) labels edge e and holds, as masks over the slot fields:
       hit    bit 0 of each slot whose clique contains edge e;
       born   bit 0 of each slot whose clique starts at edge e;
       keep   every bit of each slot whose clique is still open at depth e + 1;
@@ -229,41 +232,63 @@ def _frontier_plan(masks: list[int], m: int, s: int, width: int):
              the fields of each group of open cliques with identical
              remaining edges.
     reads, pairs and swaps are empty on the edges past the _PLAN_RULES loop
-    steps.
+    steps, and every mask is empty on an edge that no open clique holds.
     """
-    field = (1 << width) - 1
-    starts = [[] for _ in range(m)]
-    for c, mask in enumerate(masks):
-        if mask & (mask - 1):   # a one-edge clique never shows two labels
-            starts[(mask & -mask).bit_length() - 1].append(c)
-    slot, free, nslots, steps, spare = {}, [], 0, [], _PLAN_RULES
-    for e in range(m):
-        for c in starts[e]:
-            if free:
-                slot[c] = free.pop()
-            else:
-                slot[c] = nslots
-                nslots += 1
+
+    def __init__(self, masks: list[int], m: int, s: int, t_max: int):
+        self.masks, self.m, self.s, self.width = masks, m, s, t_max
+        self.starts = [[] for _ in range(m)]
+        opened = [0] * (m + 1)   # cliques whose first edge is e, less those whose last is e - 1
+        for c, mask in enumerate(masks):
+            if mask & (mask - 1):   # a one-edge clique never shows two labels
+                first = (mask & -mask).bit_length() - 1
+                self.starts[first].append(c)
+                opened[first] += 1
+                opened[mask.bit_length()] -= 1
+        # a clique holds its slot from its first edge to its last, and a freed
+        # slot is taken before a new one, so the slots are the most open at once
+        nslots = max(accumulate(opened))
+        self.ones = sum(1 << x * t_max for x in range(nslots))
+        self.key_bits = self.ones.bit_length() + t_max + 2 * t_max.bit_length()
+        self.steps, self.slot, self.free, self.spare = [], {}, [], _PLAN_RULES
+
+    def step(self, e: int):
+        while len(self.steps) <= e:
+            self._extend()
+        return self.steps[e]
+
+    def _extend(self):
+        """Build the next edge's step."""
+        masks, slot, free, e = self.masks, self.slot, self.free, len(self.steps)
+        for c in self.starts[e]:
+            slot[c] = free.pop() if free else len(slot) + len(free)
+        if not slot:
+            self.steps.append((0, 0, 0, (), (), (), ()))
+            return
+        field = (1 << self.width) - 1
         hit = {c for c in slot if masks[c] >> e & 1}
         rem = {c: masks[c] >> (e + 1) for c in slot if masks[c] >> (e + 1)}
-        base = {c: slot[c] * width for c in slot}
+        base = {c: slot[c] * self.width for c in slot}
         short = []
-        for j in range(2, s):
-            marks = sum(1 << base[c] for c, r in rem.items() if r.bit_count() == s - j)
+        for j in range(2, self.s):
+            marks = sum(1 << base[c] for c, r in rem.items() if r.bit_count() == self.s - j)
             if marks:
                 short.append((marks, j))
         groups = {}
         for c, r in rem.items():
             groups.setdefault(r, []).append(base[c])
-        touched = [c for c in rem if c in hit]
+        every = list(rem.items())
+        touched = [(c, r) for c, r in every if c in hit]
         cost = (len(touched) * (2 * len(rem) - len(touched))   # iterations of the loops below
                 + sum(len(shifts) ** 2 for shifts in groups.values()) // 2)
         reads, pairs, swaps = (), (), []
-        if cost <= spare:
-            spare -= cost
-            over = {x: [y for y in (rem if x in hit else touched)
-                        if x != y and not rem[x] & ~rem[y]] for x in rem}
-            over = {x: ys for x, ys in over.items() if ys}
+        if cost <= self.spare:
+            self.spare -= cost
+            over = {}
+            for x, rx in every:
+                ys = [y for y, ry in (every if x in hit else touched) if not rx & ~ry and x != y]
+                if ys:
+                    over[x] = ys
             reads = sorted({base[c] for x, ys in over.items() for c in (x, *ys)})
             index = {shift: i for i, shift in enumerate(reads)}
             pairs = tuple((index[base[x]], tuple(index[base[y]] for y in ys))
@@ -273,32 +298,36 @@ def _frontier_plan(masks: list[int], m: int, s: int, width: int):
                 for rnd in range(len(shifts)):
                     swaps += ((shifts[i], shifts[i + 1])
                               for i in range(rnd % 2, len(shifts) - 1, 2))
-        steps.append((sum(1 << base[c] for c in hit),
-                      sum(1 << base[c] for c in starts[e]),
-                      sum(field << base[c] for c in rem),
-                      tuple(short), tuple(reads), pairs, tuple(swaps)))
+        self.steps.append((sum(1 << base[c] for c in hit),
+                           sum(1 << base[c] for c in self.starts[e]),
+                           sum(field << base[c] for c in rem),
+                           tuple(short), tuple(reads), pairs, tuple(swaps)))
         for c in [c for c in slot if c not in rem]:   # cliques whose last edge is e
             free.append(slot.pop(c))
-    return steps, sum(1 << x * width for x in range(nslots)), width
 
 
-def _layer(plan, frontier: dict, e: int, t_max: int, s: int, rules: bool = True) -> dict:
+def _layer(plan: _Plan, frontier: dict, e: int, t_max: int, s: int, rules: bool = True,
+           room: int = 0) -> dict:
     """Label edge e in every state of frontier (a dict that is consumed) and
     return the frontier at depth e + 1.  With rules false it skips the pair
     and group rules.
+
+    A child's canonical body and block count depend only on its body after
+    the short drops, and moves from different states often reach the same
+    one, so the layer remembers the canonical form of up to room of them.
     """
-    steps, ones, width = plan
-    hit, born, keep, short, reads, pairs, swaps = steps[e]
+    hit, born, keep, short, reads, pairs, swaps = plan.step(e)
     if not rules:
         pairs = swaps = ()
+    ones = plan.ones
     nbits = t_max.bit_length()
     low = (1 << nbits) - 1
     shift = 2 * nbits
-    field = (1 << width) - 1
+    field = (1 << plan.width) - 1
     cap = s - 1
     down = range(cap, 0, -1)
-    nxt = {}
-    get = nxt.get
+    nxt, known = {}, {}
+    get, recall = nxt.get, known.get
     while frontier:   # popping frees each state once it is expanded
         key, w = frontier.popitem()
         nb = key & low
@@ -329,26 +358,31 @@ def _layer(plan, frontier: dict, e: int, t_max: int, s: int, rules: bool = True)
                     drop |= marks & ~(at[j] & ~gained | at[j - 1] & gained)
                 if drop:
                     b &= ~(drop * field)
-            if pairs:
-                fields = [b >> x & field for x in reads]
-                for x, ys in pairs:   # in order: a dropped clique no longer covers others
-                    a = fields[x]
-                    if a:
-                        for y in ys:
-                            c = fields[y]
-                            if c and not a & ~c:
-                                fields[x] = 0
-                                b ^= a << reads[x]
-                                break
-            held = sorted(filter(None, [b >> i & ones for i in range(u + (label == u))]))
-            b = sum(map(lshift, held, range(len(held))))
-            for sx, sy in swaps:
-                a = b >> sx & field
-                c = b >> sy & field
-                if a > c:
-                    a ^= c
-                    b ^= a << sx | a << sy
-            child = b << shift | len(held) << nbits
+            child = recall(b)
+            if child is None:
+                raw = b
+                if pairs:
+                    fields = [b >> x & field for x in reads]
+                    for x, ys in pairs:   # in order: a dropped clique no longer covers others
+                        a = fields[x]
+                        if a:
+                            for y in ys:
+                                c = fields[y]
+                                if c and not a & ~c:
+                                    fields[x] = 0
+                                    b ^= a << reads[x]
+                                    break
+                held = sorted(filter(None, [b >> i & ones for i in range(u + (label == u))]))
+                b = sum(map(lshift, held, range(len(held))))
+                for sx, sy in swaps:
+                    a = b >> sx & field
+                    c = b >> sy & field
+                    if a > c:
+                        a ^= c
+                        b ^= a << sx | a << sy
+                child = b << shift | len(held) << nbits
+                if len(known) < room:
+                    known[raw] = child
             if weight:
                 child |= nb
                 nxt[child] = get(child, 0) + weight
@@ -360,13 +394,7 @@ def _layer(plan, frontier: dict, e: int, t_max: int, s: int, rules: bool = True)
     return nxt
 
 
-def _key_bits(plan, t_max: int) -> int:
-    """Bits of the widest state key of plan."""
-    _, ones, width = plan
-    return ones.bit_length() + width + 2 * t_max.bit_length()
-
-
-def _count(plan, frontier: dict, depth: int, t_max: int, s: int, node_budget: int,
+def _count(plan: _Plan, frontier: dict, depth: int, t_max: int, s: int, node_budget: int,
            nodes: int) -> tuple[list[int], int]:
     """Coefficients a_0..a_{t_max} of the leaves below frontier, a dict of
     states at depth, and nodes plus the states expanded on the way, raising
@@ -378,10 +406,11 @@ def _count(plan, frontier: dict, depth: int, t_max: int, s: int, node_budget: in
     exactly, and the node total still only grows, so each layer's check
     gives the budget decision.  The pair and group rules only serve merges,
     which slices lose between them, so the layers after the first split
-    skip them.
+    skip them and remember no canonical forms.  A whole layer remembers
+    canonical forms in the room its frontier leaves under the bound.
     """
-    m = len(plan[0])
-    most = 8 * _FRONTIER_BYTES // _key_bits(plan, t_max)
+    m = plan.m
+    most = 8 * _FRONTIER_BYTES // plan.key_bits
     low = (1 << t_max.bit_length()) - 1
     coeffs = [0] * (t_max + 1)
     pending, waiting, whole = [(depth, frontier)], len(frontier), True
@@ -392,7 +421,8 @@ def _count(plan, frontier: dict, depth: int, t_max: int, s: int, node_budget: in
             nodes += len(frontier)
             if nodes > node_budget:   # checked before the work, so it is never done
                 raise ResourceLimitError(f"census node budget {node_budget} exceeded")
-            frontier = _layer(plan, frontier, depth, t_max, s, whole)
+            frontier = _layer(plan, frontier, depth, t_max, s, whole,
+                              most - len(frontier) if whole else 0)
             depth += 1
         if depth < m:
             whole = False
@@ -444,7 +474,10 @@ def _candidate_masks(g: Graph, masks: list[int]) -> list[list[int]]:
         for new, old in enumerate(order):
             pos[old] = new
         moved = [sum(1 << pos[e] for e in range(g.m) if mask >> e & 1) for mask in masks]
-        if tuple(sorted(moved)) not in seen:   # else the same DP up to clique numbering
+        # an order with the masks of one already in is skipped, though its clique
+        # numbering alone can change the states: K6 at (3, 3) in lexicographic
+        # order expands 5,894 states in this numbering, 5,415 in the reversed one
+        if tuple(sorted(moved)) not in seen:
             seen.add(tuple(sorted(moved)))
             out.append(moved)
     return out
@@ -463,17 +496,21 @@ def _race(plans: list, t_max: int, s: int, node_budget: int):
     The race stops when one plan is left, when they finish, or when their
     frontiers together hold more than _FRONTIER_BYTES of keys; the smallest
     frontier then wins, the earliest plan on ties.  Every state counts
-    against node_budget.
+    against node_budget.  A layer remembers canonical forms in the room the
+    frontiers leave under the bound.
     """
     racers = [(plan, 1, {0: 1}) for plan in plans]   # (plan, states before the layer, frontier)
-    m, depth, nodes = len(plans[0][0]), 0, 0
-    while (len(racers) > 1 and depth < m
-           and sum(len(fr) * _key_bits(plan, t_max) for plan, _, fr in racers)
-           <= 8 * _FRONTIER_BYTES):
+    m, depth, nodes = plans[0].m, 0, 0
+    while len(racers) > 1 and depth < m:
+        headroom = 8 * _FRONTIER_BYTES - sum(len(fr) * plan.key_bits for plan, _, fr in racers)
+        if headroom < 0:
+            break
         nodes += sum(len(fr) for _, _, fr in racers)
         if nodes > node_budget:
             raise ResourceLimitError(f"census node budget {node_budget} exceeded")
-        racers = [(plan, len(fr), _layer(plan, fr, depth, t_max, s)) for plan, _, fr in racers]
+        racers = [(plan, len(fr), _layer(plan, fr, depth, t_max, s, True,
+                                         headroom // plan.key_bits))
+                  for plan, _, fr in racers]
         depth += 1
         _, was, least = min(racers, key=lambda racer: len(racer[2]))
         racers = [(plan, before, fr) for plan, before, fr in racers
@@ -505,7 +542,7 @@ def build_census(g: Graph, k: int, s: int, t_max: int | None = None,
         masks = [mask for _, mask in k_cliques(g, k)]
     # a census of few edges is over before another order could pay for its race
     candidates = _candidate_masks(g, masks) if m > _RACE_MIN_EDGES else [masks]
-    plan, frontier, depth, nodes = _race([_frontier_plan(c, m, s, t_max) for c in candidates],
+    plan, frontier, depth, nodes = _race([_Plan(c, m, s, t_max) for c in candidates],
                                          t_max, s, node_budget)
     coeffs, nodes = _count(plan, frontier, depth, t_max, s, node_budget, nodes)
     return CensusPolynomial(k=k, s=s, graph_id=g.graph6, t_max=t_max,
@@ -539,8 +576,7 @@ def count_colorings(g: Graph, k: int, s: int, r: int, method: str = "auto",
     clique, and with no k-clique present the constraint is empty, so both
     cases count r**m directly.
     """
-    if r < 0:
-        raise ContractViolationError(f"count needs r >= 0, got {r}")
+    _check_palette(r)
     if method == "brute":
         return count_brute(g, k, s, r, coloring_budget=coloring_budget)
     if method not in ("auto", "census"):
@@ -562,6 +598,11 @@ def count_colorings(g: Graph, k: int, s: int, r: int, method: str = "auto",
         if cache:
             cache.put(poly)
     return replace(evaluate(poly, r), elapsed=time.perf_counter() - t0)
+
+
+def _check_palette(r: int):
+    if r < 0:
+        raise ContractViolationError(f"count needs r >= 0, got {r}")
 
 
 def _census_t_max(g: Graph, r: int) -> int:
@@ -663,6 +704,7 @@ def extremal_scan(n: int, k: int, s: int, r: int,
     recorded on their row and the scan continues.  With jobs > 1 a pool of up
     to jobs processes counts the rows, each under its own budget, and they
     return in input order, so the result does not depend on jobs."""
+    _check_palette(r)   # before any row, so no row can skip it
     if family == "complete_multipartite":
         items = [(complete_multipartite(parts), parts) for parts in integer_partitions(n)]
     elif family == "graph6_file":

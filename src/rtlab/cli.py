@@ -93,7 +93,7 @@ def _load_config_file(path) -> dict:
                 if not line:
                     continue
                 if "=" not in line:
-                    raise ContractViolationError(f"config line {raw!r} is not key = value")
+                    raise _UsageError(f"config file {path}: line {line!r} is not key = value")
                 key, val = (x.strip() for x in line.split("=", 1))
                 if key.replace("-", "_") not in DEFAULTS:
                     raise _UsageError(f"config file {path}: unknown key {key!r}")

@@ -132,6 +132,106 @@ class TestCensus:
         poly = build_census(Graph(2), 3, 2)
         assert evaluate(poly, 9).value == 1
 
+    def test_census_scan_rows(self):
+        # the complete multipartite counts at r = 4 that go to a census, with
+        # the states each expands; 14,721 in all
+        rows = [((4, 1, 1, 1), 4, 3, 80, 1084480), ((3, 2, 1, 1), 4, 3, 164, 1594624),
+                ((3, 1, 1, 1, 1), 4, 3, 263, 1913056), ((2, 2, 2, 1), 4, 3, 1169, 1802248),
+                ((2, 2, 1, 1, 1), 4, 3, 927, 3237952), ((2, 1, 1, 1, 1, 1), 4, 3, 819, 6314512),
+                ((1,) * 7, 4, 3, 1219, 12582904), ((4, 1, 1), 3, 3, 161, 40000),
+                ((3, 2, 1), 3, 3, 83, 253696), ((3, 1, 1, 1), 3, 3, 176, 252544),
+                ((2, 2, 2), 3, 3, 309, 406528), ((2, 2, 1, 1), 3, 3, 491, 471184),
+                ((2, 1, 1, 1, 1), 3, 3, 997, 601216), ((1,) * 6, 3, 3, 7863, 843904)]
+        got = [count_colorings(complete_multipartite(parts), k, s, 4)
+               for parts, k, s, _, _ in rows]
+        assert all(res.method == "census" for res in got)
+        assert [(res.nodes_visited, res.value) for res in got] == [row[3:] for row in rows]
+        assert sum(res.nodes_visited for res in got) == 14_721
+
+
+_LAYER = census._layer
+
+
+def _layers_run(monkeypatch, room=None):
+    """Record, per plan, the last edge _LAYER ran and the room each layer was
+    offered; with room given, every layer may remember that many canonical
+    forms instead."""
+    runs = {}   # id(plan) -> [plan, last edge, rooms offered]
+
+    def recorded(plan, frontier, e, t_max, s, rules, offered):
+        run = runs.setdefault(id(plan), [plan, e, []])
+        run[1] = e
+        run[2].append(offered)
+        return _LAYER(plan, frontier, e, t_max, s, rules, offered if room is None else room)
+
+    monkeypatch.setattr(census, "_layer", recorded)
+    return runs
+
+
+class TestPlan:
+    @pytest.mark.parametrize("parts, k, s, t_max, built", [
+        ((1,) * 6, 3, 3, 15, [5, 15]),       # the lexicographic order drops at layer 4
+        ((1,) * 7, 4, 3, 16, [21, 10]),      # the clique order drops at layer 9
+        ((2, 2, 2, 1), 4, 3, 16, [6, 14, 18]),
+        ((3, 1, 1, 1, 1), 4, 4, 16, [7, 7, 18])])
+    def test_racer_builds_only_the_steps_it_ran(self, monkeypatch, parts, k, s, t_max, built):
+        # built: the steps of each candidate order, in the order they race
+        runs = _layers_run(monkeypatch)
+        build_census(complete_multipartite(parts), k, s, t_max=t_max)
+        assert [len(plan.steps) for plan, _, _ in runs.values()] == built
+        for plan, last, _ in runs.values():
+            assert len(plan.steps) == last + 1
+
+    def test_edges_no_clique_holds_are_idle(self):
+        # a triangle with a path hung on it: no clique is open on the path
+        g = Graph(6, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5)])
+        plan = census._Plan([mask for _, mask in k_cliques(g, 3)], g.m, 3, 6)
+        assert [plan.step(e) == (0, 0, 0, (), (), (), ()) for e in range(g.m)] == \
+            [False, False, False, True, True, True]
+        assert plan.ones == 1
+
+    def test_steps_take_exactly_the_slots_counted(self):
+        # ones is counted before any step is built; the steps then place their
+        # cliques in exactly those slots
+        for parts, k in (((1,) * 6, 3), ((2, 2, 2, 1), 4), ((3, 1, 1, 1), 4), ((4, 2), 2)):
+            g = complete_multipartite(parts)
+            for masks in census._candidate_masks(g, [mask for _, mask in k_cliques(g, k)]):
+                plan = census._Plan(masks, g.m, 3, 8)
+                born = 0
+                for e in range(g.m):
+                    born |= plan.step(e)[1]
+                assert born == plan.ones
+
+
+class TestCanonicalMemo:
+    WHOLE = [((1,) * 6, 3, 3, 15), ((1,) * 6, 4, 4, 15), ((2, 2, 2, 1), 4, 3, 16),
+             ((3, 2, 1), 3, 3, 11), ((3, 1, 1, 1, 1), 4, 4, 16)]
+    SLICED = [((1,) * 5, 4, 3, 10), ((1,) * 5, 3, 3, 6), ((2, 2, 1), 3, 2, 8),
+              ((3, 1, 1, 1), 4, 4, 5)]
+
+    @pytest.mark.parametrize("sliced", [False, True])
+    def test_memo_changes_no_count(self, monkeypatch, sliced):
+        # a layer's remembered canonical forms, however many, change neither
+        # the coefficients nor the states; under a frontier bound of a byte
+        # every layer is sliced and none is offered room
+        cases = self.SLICED if sliced else self.WHOLE
+        if sliced:
+            monkeypatch.setattr(census, "_FRONTIER_BYTES", 1)
+
+        def censuses():
+            return [build_census(complete_multipartite(parts), k, s, t_max=t_max)
+                    for parts, k, s, t_max in cases]
+
+        _layers_run(monkeypatch, room=0)
+        want = censuses()
+        runs = _layers_run(monkeypatch)
+        assert censuses() == want
+        rooms = [room for _, _, offered in runs.values() for room in offered]
+        assert max(rooms) <= 0 if sliced else min(rooms) > 0
+        for room in (1, 7, 10 ** 9):
+            _layers_run(monkeypatch, room=room)
+            assert censuses() == want
+
 
 def _same_as_walk(g, k, s, t_max, want=None):
     """The DP's coefficients are the walk's (want, when given), and its budget
@@ -244,9 +344,10 @@ class TestAutoStrategy:
         with pytest.raises(ContractViolationError, match="r >= 0"):
             count_colorings(K4, 4, 3, -1, method=method)
 
-    @pytest.mark.parametrize("method", ["auto", "census"])
+    @pytest.mark.parametrize("method", ["auto", "census", "brute"])
     def test_zero_colors_color_nothing(self, method):
         assert count_colorings(K4, 4, 3, 0, method=method).value == 0
+        assert count_colorings(Graph(3), 4, 3, 0, method=method).value == 1
 
     def test_census_route(self):
         res = count_colorings(K4, 4, 3, 3)

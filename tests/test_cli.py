@@ -123,6 +123,23 @@ class TestCount:
         assert code == EXIT_CONTRACT and out == ""
         assert "r >= 0" in err
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_negative_r_contract_with_no_row_counted(self, capsys, tmp_path, threads):
+        # the file's only graph has 3 vertices, so no row of the n = 4 scan is counted
+        path = tmp_path / "g.g6"
+        path.write_text("Bw\n")
+        code, out, err = run(capsys, "scan", "--n", "4", "--k", "3", "--s", "3", "--r", "-1",
+                             "--file", str(path), "--threads", threads)
+        assert code == EXIT_CONTRACT and out == ""
+        assert "r >= 0" in err
+
+    @pytest.mark.parametrize("graph, value", [("--complete 3", "0"), ("--graph6 B?", "1")])
+    def test_zero_colors_brute_as_auto(self, capsys, graph, value):
+        argv = f"count {graph} --k 3 --s 2 --r 0 --format json".split()
+        for method in ("auto", "brute"):
+            code, out, _ = run(capsys, *argv, "--method", method)
+            assert code == EXIT_OK and json.loads(out)["result"]["value"] == value
+
 
 class TestDeterminism:
     def test_json_byte_identical(self, capsys):
@@ -340,6 +357,11 @@ class TestConfigLayers:
 
     def test_missing_config_file_usage(self, capsys, tmp_path):
         assert "No such file" in self._bad_config(capsys, tmp_path / "absent.cfg")
+
+    def test_config_line_without_equals_usage(self, capsys, tmp_path):
+        cfg = tmp_path / "rtlab.cfg"
+        cfg.write_text("threads = 2\nformat json\n")
+        assert "line 'format json' is not key = value" in self._bad_config(capsys, cfg)
 
     def test_config_unknown_key_usage(self, capsys, tmp_path):
         cfg = tmp_path / "rtlab.cfg"
