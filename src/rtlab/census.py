@@ -20,7 +20,6 @@ import json
 import os
 import time
 import warnings
-from bisect import bisect_left, insort
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import partial
@@ -159,8 +158,7 @@ def count_brute(g: Graph, k: int, s: int, r: int,
     showing at most s-1 distinct colors.  The definitional oracle."""
     import numpy as np
 
-    if r < 0 or s < 2:
-        raise ContractViolationError(f"count_brute needs r >= 0, s >= 2, got {(r, s)}")
+    _check_count(k, s, r)
     t0 = time.perf_counter()
     m = g.m
     total = r ** m
@@ -535,7 +533,7 @@ def build_census(g: Graph, k: int, s: int, t_max: int | None = None,
         raise ContractViolationError(f"census needs s >= 2, got {s}")
     m = g.m
     if t_max is None:
-        t_max = max(1, min(m, 16))
+        t_max = _census_t_max(g, 0)
     if t_max < 1:
         raise ContractViolationError(f"t_max must be >= 1, got {t_max}")
     if masks is None:
@@ -576,7 +574,7 @@ def count_colorings(g: Graph, k: int, s: int, r: int, method: str = "auto",
     clique, and with no k-clique present the constraint is empty, so both
     cases count r**m directly.
     """
-    _check_palette(r)
+    _check_count(k, s, r)
     if method == "brute":
         return count_brute(g, k, s, r, coloring_budget=coloring_budget)
     if method not in ("auto", "census"):
@@ -600,9 +598,10 @@ def count_colorings(g: Graph, k: int, s: int, r: int, method: str = "auto",
     return replace(evaluate(poly, r), elapsed=time.perf_counter() - t0)
 
 
-def _check_palette(r: int):
-    if r < 0:
-        raise ContractViolationError(f"count needs r >= 0, got {r}")
+def _check_count(k: int, s: int, r: int):
+    """The contract of every count and scan, whatever its route."""
+    if k < 2 or s < 2 or r < 0:
+        raise ContractViolationError(f"count needs k >= 2, s >= 2, r >= 0, got {(k, s, r)}")
 
 
 def _census_t_max(g: Graph, r: int) -> int:
@@ -704,7 +703,7 @@ def extremal_scan(n: int, k: int, s: int, r: int,
     recorded on their row and the scan continues.  With jobs > 1 a pool of up
     to jobs processes counts the rows, each under its own budget, and they
     return in input order, so the result does not depend on jobs."""
-    _check_palette(r)   # before any row, so no row can skip it
+    _check_count(k, s, r)   # before any row, so no row can skip it
     if family == "complete_multipartite":
         items = [(complete_multipartite(parts), parts) for parts in integer_partitions(n)]
     elif family == "graph6_file":
@@ -776,14 +775,11 @@ class CensusCache:
 
     def __init__(self, path):
         self.path = Path(path)
-        self._entries: dict[tuple, CensusPolynomial] = {}
-        self._t_maxes: dict[tuple, list[int]] = {}   # (graph6, k, s) -> sorted t_max values
+        self._entries: dict[tuple, dict[int, CensusPolynomial]] = {}   # (graph6, k, s) -> by t_max
         self._load()
 
     def _add(self, poly: CensusPolynomial):
-        if poly.key() not in self._entries:
-            insort(self._t_maxes.setdefault(poly.key()[:3], []), poly.t_max)
-        self._entries[poly.key()] = poly
+        self._entries.setdefault((poly.graph_id, poly.k, poly.s), {})[poly.t_max] = poly
 
     def _load(self):
         from . import __version__
@@ -805,18 +801,18 @@ class CensusCache:
                     self._add(poly)
 
     def get(self, graph_id: str, k: int, s: int, t_max: int) -> CensusPolynomial | None:
-        return self._entries.get((graph_id, k, s, t_max))
+        return self._entries.get((graph_id, k, s), {}).get(t_max)
 
     def find_at_least(self, graph_id: str, k: int, s: int, t_min: int) -> CensusPolynomial | None:
         """The stored polynomial with the smallest t_max >= t_min, if any."""
-        t_maxes = self._t_maxes.get((graph_id, k, s), [])
-        i = bisect_left(t_maxes, t_min)
-        return self._entries[(graph_id, k, s, t_maxes[i])] if i < len(t_maxes) else None
+        by_t_max = self._entries.get((graph_id, k, s), {})
+        fits = [t for t in by_t_max if t >= t_min]
+        return by_t_max[min(fits)] if fits else None
 
     def put(self, poly: CensusPolynomial) -> bool:
         """Append the polynomial unless its key is already stored."""
         from . import __version__
-        if poly.key() in self._entries:
+        if self.get(*poly.key()) is not None:
             return False
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with open(self.path, "a", encoding="utf-8") as fh:

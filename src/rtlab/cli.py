@@ -83,23 +83,20 @@ def _part_sizes(text: str) -> list[int]:
 
 def _load_config_file(path) -> dict:
     """The shared options a config file sets, checked with the flags' own
-    types and choices; an unreadable file, an unknown key or a bad value is a
-    usage error."""
+    types and choices; an unknown key or a bad value is a usage error, and
+    main() reports an unreadable file as one."""
     argv = []
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for raw in fh:
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise _UsageError(f"config file {path}: line {line!r} is not key = value")
-                key, val = (x.strip() for x in line.split("=", 1))
-                if key.replace("-", "_") not in DEFAULTS:
-                    raise _UsageError(f"config file {path}: unknown key {key!r}")
-                argv.append(f"--{key.replace('_', '-')}={val}")
-    except OSError as exc:
-        raise _UsageError(f"cannot read config file {path}: {exc.strerror}") from None
+    with open(path, "r", encoding="utf-8") as fh:
+        for raw in fh:
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise _UsageError(f"config file {path}: line {line!r} is not key = value")
+            key, val = (x.strip() for x in line.split("=", 1))
+            if key.replace("-", "_") not in DEFAULTS:
+                raise _UsageError(f"config file {path}: unknown key {key!r}")
+            argv.append(f"--{key.replace('_', '-')}={val}")
     try:
         values = vars(_option_parser().parse_args(argv))
     except _UsageError as exc:
@@ -203,12 +200,6 @@ def _census_kwargs(cfg) -> dict:
 
 
 def _graph_from_args(args):
-    sources = [args.graph6 is not None, args.file is not None,
-               args.complete is not None, args.turan is not None,
-               args.parts is not None]
-    if sum(sources) != 1:
-        raise _UsageError("give exactly one graph source "
-                          "(--graph6 / --file / --complete / --turan / --parts)")
     if args.graph6 is not None:
         return parse_graph6(args.graph6)
     if args.file is not None:
@@ -367,12 +358,13 @@ def build_parser() -> _Parser:
     _add_common(p)
 
     p = sub.add_parser("count", help="count admissible colorings of one graph")
-    p.add_argument("--graph6", default=None)
-    p.add_argument("--file", default=None)
-    p.add_argument("--complete", type=int, default=None)
-    p.add_argument("--turan", nargs=2, type=int, default=None, metavar=("N", "K"))
-    p.add_argument("--parts", type=_part_sizes, default=None,
-                   help="comma-separated part sizes")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--graph6", default=None)
+    source.add_argument("--file", default=None)
+    source.add_argument("--complete", type=int, default=None)
+    source.add_argument("--turan", nargs=2, type=int, default=None, metavar=("N", "K"))
+    source.add_argument("--parts", type=_part_sizes, default=None,
+                        help="comma-separated part sizes")
     _required_ints(p, "k s r")
     p.add_argument("--method", choices=("auto", "brute", "census"), default="auto")
     _add_common(p)
@@ -393,10 +385,10 @@ def build_parser() -> _Parser:
     p.add_argument("--check", choices=("lpartite", "furedi", "partsizes",
                                        "entropy", "turanbounds", "all"), default="all")
     p.add_argument("--n-max", dest="n_max", type=int, default=7)
-    p.add_argument("--instances", type=int, default=100)
+    p.add_argument("--instances", type=_int_at_least(0, "non-negative"), default=100)
     p.add_argument("--k", type=int, default=4)
     p.add_argument("--t", type=int, default=16)
-    p.add_argument("--grid", type=int, default=64)
+    p.add_argument("--grid", type=_int_at_least(1, "positive"), default=64)
     _add_common(p)
 
     p = sub.add_parser("pairs", help="census of pairs with r0 = r1 + 1")
@@ -438,6 +430,11 @@ def main(argv=None) -> int:
         return exc.code or 0
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:
+        if exc.filename is None:   # not a file named by --config, --file or --cache
+            raise
+        print(f"usage error: cannot use {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_USAGE
     except (ContractViolationError, GraphFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)

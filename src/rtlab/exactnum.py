@@ -48,12 +48,6 @@ _START_DIGITS = 40
 
 LESS, EQUAL, GREATER = -1, 0, 1
 
-_ORDERING_NAMES = {LESS: "less", EQUAL: "equal", GREATER: "greater"}
-
-
-def ordering_name(c: int) -> str:
-    return _ORDERING_NAMES[c]
-
 
 def _sign(x) -> int:
     return (x > 0) - (x < 0)
@@ -89,40 +83,6 @@ class PowerProduct:
             acc[b] = acc[b] + e if b in acc else e
         object.__setattr__(self, "factors",
                            tuple(sorted((b, e) for b, e in acc.items() if e != 0)))
-
-    # -- construction helpers -------------------------------------------------
-
-    @classmethod
-    def one(cls) -> "PowerProduct":
-        return cls()
-
-    @classmethod
-    def of_int(cls, n: int) -> "PowerProduct":
-        if n < 1:
-            raise ContractViolationError(f"of_int needs n >= 1, got {n}")
-        return cls(((n, Fraction(1)),))
-
-    # -- algebra ---------------------------------------------------------------
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            other = PowerProduct.of_int(other)
-        if not isinstance(other, PowerProduct):
-            return NotImplemented
-        return PowerProduct(self.factors + other.factors)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exp):
-        e = _as_exponent(exp)
-        return PowerProduct(tuple((b, x * e) for b, x in self.factors))
-
-    def __truediv__(self, other):
-        if isinstance(other, int):
-            other = PowerProduct.of_int(other)
-        if not isinstance(other, PowerProduct):
-            return NotImplemented
-        return PowerProduct(self.factors + tuple((b, -e) for b, e in other.factors))
 
     # -- structural identity -----------------------------------------------------
 
@@ -162,12 +122,8 @@ class PowerProduct:
 
     # -- exact comparison ----------------------------------------------------------
 
-    def compare(self, other=None, bit_budget=None) -> int:
-        """Exact trichotomy vs another product (or 1): -1, 0 or +1."""
-        if other is None:
-            other = PowerProduct.one()
-        elif isinstance(other, int):
-            other = PowerProduct.of_int(other)
+    def compare(self, other: "PowerProduct", bit_budget=None) -> int:
+        """Exact trichotomy vs another product: -1, 0 or +1."""
         if self.factors == other.factors:
             return EQUAL
         # The quotient's factors, unmerged: each step below holds for any
@@ -377,7 +333,3 @@ def pp_is_integer(x: PowerProduct) -> bool:
     """Whether the value of x is an integer, decided from exponents alone."""
     return _integer_exponents(x) is not None
 
-
-def least_integer_greater(x: PowerProduct, bit_budget=None) -> int:
-    """Least integer strictly greater than x (so an exact integer N gives N+1)."""
-    return pp_floor(x, bit_budget=bit_budget) + 1

@@ -9,7 +9,6 @@ depend on the order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 from .errors import ContractViolationError, ResourceLimitError
@@ -62,9 +61,6 @@ class Graph:
     @property
     def m(self) -> int:
         return len(self.edges)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
 
     def edge_index(self, u: int, v: int) -> int:
         return self._index[(u, v) if u < v else (v, u)]
@@ -163,14 +159,13 @@ def parse_graph6(text: str) -> Graph:
 
 
 def read_graph6_file(path) -> list[Graph]:
-    """One graph per non-empty line."""
-    graphs = []
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                graphs.append(parse_graph6(line))
-    return graphs
+    """One graph per non-empty line; text that is not ASCII is a GraphFormatError."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise GraphFormatError(f"{path}: non-ASCII byte in graph6 text", exc.start) from None
+    return [parse_graph6(line) for line in map(str.strip, lines) if line]
 
 
 # -- generators ---------------------------------------------------------------
@@ -243,23 +238,13 @@ def k_cliques(g: Graph, k: int, mask_bits: int = DEFAULT_MASK_BITS):
 
 # -- exact maximum l-partite subgraph ----------------------------------------------
 
-@dataclass(frozen=True)
-class VertexPartition:
-    """class_of[v] is the class index of vertex v."""
-
-    class_of: tuple[int, ...]
-
-    def internal_edges(self, g: Graph) -> int:
-        return sum(1 for u, v in g.edges if self.class_of[u] == self.class_of[v])
-
-
 def max_lpartite(g: Graph, parts: int, vertex_budget: int = DEFAULT_PARTITION_BUDGET):
     """Partition into at most `parts` classes maximizing cross edges, exactly.
 
     Exhaustive over labelings with class labels in first-use order (which
     fixes vertex 0 in class 0), pruned by the best-possible completion
-    bound.  Returns (VertexPartition, cross_edge_count); the minimum number
-    of internal edges is g.m minus the count.
+    bound.  Returns (labels, cross_edge_count), where labels[v] is the class
+    of vertex v; the minimum number of internal edges is g.m minus the count.
     """
     if parts < 1:
         raise ContractViolationError(f"need at least one class, got {parts}")
@@ -297,4 +282,4 @@ def max_lpartite(g: Graph, parts: int, vertex_budget: int = DEFAULT_PARTITION_BU
             class_masks[c] &= ~(1 << v)
 
     assign(0, 0, 0)
-    return VertexPartition(best[1]), best[0]
+    return best[1], best[0]

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import comb
 
 from .errors import ContractViolationError
-from .exactnum import PowerProduct, least_integer_greater, pp_floor, pp_is_integer
+from .exactnum import PowerProduct, pp_floor, pp_is_integer
 
 
 class Regime(str, Enum):
@@ -180,7 +180,7 @@ def r0_base(k: int, s: int) -> tuple[PowerProduct, RegimeParams]:
 
 def r0(k: int, s: int) -> int:
     base, _ = r0_base(k, s)
-    return least_integer_greater(base)
+    return pp_floor(base) + 1
 
 
 def _r1_value(k: int, s: int) -> int:
@@ -257,7 +257,7 @@ def threshold_report(k: int, s: int) -> ThresholdReport:
     return ThresholdReport(
         k=k, s=s, s0=params.s0, s1=params.s1, regime=params.regime,
         i_star=params.i_star, p_star=params.p_star, j_star=params.j_star,
-        base=base, r0=least_integer_greater(base), r1=_r1_value(k, s),
+        base=base, r0=pp_floor(base) + 1, r1=_r1_value(k, s),
         l_opt=params.l_opt, l_opt_witness=params.l_opt_witness)
 
 

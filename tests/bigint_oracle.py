@@ -14,7 +14,7 @@ from rtlab.exactnum import DEFAULT_BIT_BUDGET, PowerProduct
 
 def bigint_compare(a: PowerProduct, b: PowerProduct, bit_budget=None) -> int:
     """Exact ordering of a and b by big integers, under a bit budget."""
-    diff = (a / b).factors
+    diff = PowerProduct(a.factors + tuple((base, -e) for base, e in b.factors)).factors
     lden = 1
     for _, e in diff:
         lden = math.lcm(lden, e.denominator)

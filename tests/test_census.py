@@ -345,6 +345,15 @@ class TestAutoStrategy:
             count_colorings(K4, 4, 3, -1, method=method)
 
     @pytest.mark.parametrize("method", ["auto", "census", "brute"])
+    @pytest.mark.parametrize("k, s, r", [(-5, 3, 2), (1, 3, 4), (3, 1, 0), (3, 0, 5)])
+    def test_k_and_s_rejected_on_every_route(self, method, k, s, r):
+        # under auto, (-5, 3, 2) would take the r < s shortcut and (1, 3, 4)
+        # the one for no k-clique on Graph(3)
+        for g in (K4, Graph(3)):
+            with pytest.raises(ContractViolationError, match="k >= 2, s >= 2, r >= 0"):
+                count_colorings(g, k, s, r, method=method)
+
+    @pytest.mark.parametrize("method", ["auto", "census", "brute"])
     def test_zero_colors_color_nothing(self, method):
         assert count_colorings(K4, 4, 3, 0, method=method).value == 0
         assert count_colorings(Graph(3), 4, 3, 0, method=method).value == 1
@@ -415,6 +424,14 @@ class TestScan:
         errs = [r for r in res.rows if r.error]
         good = [r for r in res.rows if r.value is not None]
         assert errs and good  # scan continued past per-row failures
+
+    @pytest.mark.parametrize("k, s, r", [(9, 1, 3), (-5, 3, 2), (3, 3, -1)])
+    def test_contract_checked_before_any_row(self, tmp_path, k, s, r):
+        path = tmp_path / "family.g6"
+        path.write_text(complete(3).graph6 + "\n")   # 3 vertices: no row of n = 4 is counted
+        for kwargs in ({}, {"family": "graph6_file", "graph6_path": path}):
+            with pytest.raises(ContractViolationError, match="k >= 2, s >= 2, r >= 0"):
+                extremal_scan(4, k, s, r, **kwargs)
 
     def test_graph6_family(self, tmp_path):
         path = tmp_path / "family.g6"

@@ -101,6 +101,12 @@ class TestCount:
         code, _, _ = run(capsys, "count", "--k", "3", "--s", "2", "--r", "2")
         assert code == EXIT_USAGE
 
+    def test_two_graph_sources_usage(self, capsys):
+        code, out, err = run(capsys, "count", "--complete", "3", "--parts", "2,1",
+                             "--k", "3", "--s", "2", "--r", "2")
+        assert code == EXIT_USAGE and out == ""
+        assert "not allowed with" in err
+
     def test_bad_graph6_contract(self, capsys):
         code, _, _ = run(capsys, "count", "--graph6", "Bww", "--k", "3", "--s", "2", "--r", "2")
         assert code == EXIT_CONTRACT
@@ -132,6 +138,24 @@ class TestCount:
                              "--file", str(path), "--threads", threads)
         assert code == EXIT_CONTRACT and out == ""
         assert "r >= 0" in err
+
+    @pytest.mark.parametrize("method", ["auto", "census", "brute"])
+    @pytest.mark.parametrize("ksr", ["--k -5 --s 3 --r 2", "--k 1 --s 3 --r 4",
+                                     "--k 3 --s 1 --r 0", "--k 3 --s 0 --r 5"])
+    def test_k_and_s_contract_on_every_route(self, capsys, method, ksr):
+        # r < s and a graph with no k-clique take shortcuts under auto; the
+        # contract is checked before any route
+        code, out, err = run(capsys, "count", "--complete", "3", *ksr.split(),
+                             "--method", method)
+        assert code == EXIT_CONTRACT and out == ""
+        assert "k >= 2, s >= 2, r >= 0" in err
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("ksr", ["--k 9 --s 1 --r 3", "--k -5 --s 3 --r 2"])
+    def test_k_and_s_contract_of_scan(self, capsys, threads, ksr):
+        code, out, err = run(capsys, "scan", "--n", "4", *ksr.split(), "--threads", threads)
+        assert code == EXIT_CONTRACT and out == ""
+        assert "k >= 2, s >= 2, r >= 0" in err
 
     @pytest.mark.parametrize("graph, value", [("--complete 3", "0"), ("--graph6 B?", "1")])
     def test_zero_colors_brute_as_auto(self, capsys, graph, value):
@@ -302,6 +326,20 @@ class TestProps:
         reports = json.loads(out)["result"]["reports"]
         assert all(r["verdict"] == "pass" for r in reports)
 
+    @pytest.mark.parametrize("argv", ["--check entropy --grid 0", "--check entropy --grid -2",
+                                      "--check furedi --instances -3",
+                                      "--check partsizes --instances -1"])
+    def test_bad_counts_usage(self, capsys, argv):
+        code, out, err = run(capsys, "props", *argv.split())
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("usage error:")
+
+    def test_zero_instances_accepted(self, capsys):
+        code, out, _ = run(capsys, "props", "--check", "furedi", "--instances", "0",
+                           "--format", "json")
+        assert code == EXIT_OK
+        assert json.loads(out)["result"]["reports"][0]["instances_tested"] == 0
+
     def test_exit_code_mapping_for_failures(self):
         # the runner flips to the check-failure exit code when any report fails
         from rtlab import propcheck
@@ -319,6 +357,41 @@ class TestProps:
         finally:
             propcheck.check_entropy = orig
         assert code == EXIT_CHECK_FAILED
+
+
+class TestFiles:
+    SCAN = ("scan", "--n", "3", "--k", "3", "--s", "2", "--r", "2")
+    COUNT = ("count", "--k", "3", "--s", "2", "--r", "2")
+
+    @pytest.mark.parametrize("command", [COUNT, SCAN])
+    def test_missing_graph6_file_usage(self, capsys, tmp_path, command):
+        path = tmp_path / "missing.g6"
+        code, out, err = run(capsys, *command, "--file", str(path))
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("usage error:") and str(path) in err
+
+    @pytest.mark.parametrize("command", [COUNT, SCAN])
+    def test_non_ascii_graph6_file_contract(self, capsys, tmp_path, command):
+        path = tmp_path / "bad.g6"
+        path.write_bytes(b"B\xc3w\n")
+        code, out, err = run(capsys, *command, "--file", str(path))
+        assert code == EXIT_CONTRACT and out == ""
+        assert "non-ASCII" in err and "(byte 1)" in err
+
+    @pytest.mark.parametrize("command", [COUNT + ("--complete", "3"), SCAN])
+    def test_cache_naming_a_directory_usage(self, capsys, tmp_path, command):
+        code, out, err = run(capsys, *command, "--cache", str(tmp_path))
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("usage error:") and str(tmp_path) in err
+
+    def test_unwritable_cache_usage(self, capsys, tmp_path):
+        # the cache reads nothing from a path that does not exist yet; writing
+        # its first census needs a directory where a file stands
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code, out, err = run(capsys, *self.SCAN, "--cache", str(blocker / "c.jsonl"))
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("usage error:") and str(blocker) in err
 
 
 class TestConfigLayers:

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from bigint_oracle import bigint_compare
 from rtlab.errors import ContractViolationError, ResourceLimitError
-from rtlab.exactnum import (EQUAL, GREATER, LESS, PowerProduct, least_integer_greater,
-                            ordering_name, pp_floor, pp_is_integer)
+from rtlab.exactnum import EQUAL, GREATER, LESS, PowerProduct, pp_floor, pp_is_integer
 
 
 def pp(*factors):
@@ -22,7 +21,7 @@ class TestCanonicalForm:
         assert pp((2, Fr(1, 2)), (2, Fr(1, 2))) == pp((2, 1))
 
     def test_drops_base_one_and_zero_exponent(self):
-        assert pp((1, Fr(7, 3)), (5, 0)) == PowerProduct.one()
+        assert pp((1, Fr(7, 3)), (5, 0)) == pp()
 
     def test_sorted_by_base(self):
         x = pp((7, 1), (2, Fr(1, 3)), (5, 2))
@@ -44,34 +43,22 @@ class TestCanonicalForm:
         with pytest.raises(ContractViolationError):
             pp((2, 0.5))
 
-    def test_algebra(self):
-        x = pp((2, Fr(1, 2)))
-        assert x * x == pp((2, 1))
-        assert x ** 4 == pp((2, 2))
-        assert (x / x) == PowerProduct.one()
-        y = pp((3, Fr(2, 3)), (2, -1))
-        assert x / y == x * y ** -1 == pp((2, Fr(3, 2)), (3, Fr(-2, 3)))
-        assert x / 4 == pp((2, Fr(1, 2)), (4, -1))
-        assert 3 * PowerProduct.one() == pp((3, 1))
-
 
 class TestCompare:
     def test_sqrt8_below_3(self):
         # 2^3 = 8 < 3^2 = 9
-        assert pp((2, Fr(3, 2))).compare(PowerProduct.of_int(3)) == LESS
+        assert pp((2, Fr(3, 2))).compare(pp((3, 1))) == LESS
 
     def test_exponent_addition_equal(self):
-        assert pp((2, Fr(1, 2)), (2, Fr(1, 2))).compare(PowerProduct.of_int(2)) == EQUAL
+        assert pp((2, Fr(1, 2)), (2, Fr(1, 2))).compare(pp((2, 1))) == EQUAL
 
     def test_cleared_denominator_example(self):
         # lcm of denominators is 6: 3^8 * 2 = 13122 < 5^6 = 15625
-        assert pp((3, Fr(4, 3)), (2, Fr(1, 6))).compare(PowerProduct.of_int(5)) == LESS
+        assert pp((3, Fr(4, 3)), (2, Fr(1, 6))).compare(pp((5, 1))) == LESS
 
     def test_antisymmetry_names(self):
-        a, b = pp((2, Fr(3, 2))), PowerProduct.of_int(3)
+        a, b = pp((2, Fr(3, 2))), pp((3, 1))
         assert a.compare(b) == -b.compare(a)
-        assert ordering_name(a.compare(b)) == "less"
-        assert ordering_name(b.compare(a)) == "greater"
 
     def test_value_equality_across_forms(self):
         # structurally different, equal as reals
@@ -106,11 +93,10 @@ class TestCompare:
 
     def test_huge_base_fast(self):
         # no factoring: a 133-bit base is refined and compared in milliseconds
-        big = PowerProduct.of_int(10 ** 40 + 1)
-        cases = [(big ** Fr(1, 2), PowerProduct.of_int(10 ** 20), GREATER),
-                 (big ** Fr(3, 2), PowerProduct.of_int((10 ** 40 + 1) ** 3) ** Fr(1, 2), EQUAL),
-                 (big * pp((7, Fr(1, 3))), PowerProduct.of_int(10 ** 40) * pp((7, Fr(1, 3))),
-                  GREATER)]
+        big = 10 ** 40 + 1
+        cases = [(pp((big, Fr(1, 2))), pp((10 ** 20, 1)), GREATER),
+                 (pp((big, Fr(3, 2))), pp((big ** 3, Fr(1, 2))), EQUAL),
+                 (pp((big, 1), (7, Fr(1, 3))), pp((10 ** 40, 1), (7, Fr(1, 3))), GREATER)]
         t0 = time.perf_counter()
         got = [a.compare(b) for a, b, _ in cases]
         elapsed = time.perf_counter() - t0
@@ -122,16 +108,16 @@ class TestCompare:
 class TestFloor:
     def test_examples(self):
         assert pp_floor(pp((3, Fr(4, 3)), (2, Fr(1, 6)))) == 4
-        assert pp_floor(PowerProduct.of_int(2)) == 2
+        assert pp_floor(pp((2, 1))) == 2
         assert pp_floor(pp((14, Fr(5, 4)))) == 27
 
     def test_least_integer_greater(self):
-        assert least_integer_greater(pp((2, Fr(3, 2)))) == 3
-        assert least_integer_greater(PowerProduct.one()) == 2
-        assert least_integer_greater(pp((3, Fr(4, 3)), (2, Fr(1, 6)))) == 5
+        assert pp_floor(pp((2, Fr(3, 2)))) + 1 == 3
+        assert pp_floor(pp()) + 1 == 2
+        assert pp_floor(pp((3, Fr(4, 3)), (2, Fr(1, 6)))) + 1 == 5
 
     def test_exact_integer_branch(self):
-        assert least_integer_greater(pp((4, Fr(3, 2)))) == 9   # 4^(3/2) = 8
+        assert pp_floor(pp((4, Fr(3, 2)))) + 1 == 9   # 4^(3/2) = 8
         assert pp_is_integer(pp((4, Fr(3, 2))))
         assert not pp_is_integer(pp((2, Fr(3, 2))))
         assert pp_floor(pp((8, Fr(4, 3)))) == 16 and pp_is_integer(pp((8, Fr(4, 3))))
@@ -140,7 +126,7 @@ class TestFloor:
 
     def test_value_below_one(self):
         assert pp_floor(pp((2, -1))) == 0
-        assert least_integer_greater(pp((2, -1))) == 1
+        assert pp_floor(pp((2, -1))) + 1 == 1
 
 
 _factor = st.tuples(st.integers(min_value=2, max_value=50),
@@ -172,8 +158,8 @@ def test_floor_sandwich(x):
     f = pp_floor(x)
     assert f >= 0
     if f > 0:
-        assert PowerProduct.of_int(f).compare(x) <= 0
-    assert x.compare(PowerProduct.of_int(f + 1)) == LESS
+        assert pp((f, 1)).compare(x) <= 0
+    assert x.compare(pp((f + 1, 1))) == LESS
 
 
 @settings(max_examples=150, deadline=None)
@@ -197,9 +183,9 @@ def test_agrees_with_bigint_oracle(a, b):
     assert a.compare(b) == bigint_compare(a, b, bit_budget=budget)
     f = pp_floor(a)
     if f > 0:
-        assert bigint_compare(PowerProduct.of_int(f), a, bit_budget=budget) <= 0
-    assert bigint_compare(a, PowerProduct.of_int(f + 1), bit_budget=budget) == LESS
-    exact = f >= 1 and bigint_compare(a, PowerProduct.of_int(f), bit_budget=budget) == EQUAL
+        assert bigint_compare(pp((f, 1)), a, bit_budget=budget) <= 0
+    assert bigint_compare(a, pp((f + 1, 1)), bit_budget=budget) == LESS
+    exact = f >= 1 and bigint_compare(a, pp((f, 1)), bit_budget=budget) == EQUAL
     assert pp_is_integer(a) == exact
 
 

@@ -6,16 +6,24 @@ import pytest
 
 from rtlab.errors import ContractViolationError, ResourceLimitError
 from rtlab.graphs import (Graph, GraphFormatError, complete, complete_multipartite,
-                          k_cliques, max_lpartite, parse_graph6, turan_graph,
-                          write_graph6)
+                          k_cliques, max_lpartite, parse_graph6, read_graph6_file,
+                          turan_graph, write_graph6)
 from rtlab.thresholds import turan_ex
+
+
+def has_edge(g: Graph, u: int, v: int) -> bool:
+    return bool(g.adj[u] >> v & 1)
+
+
+def internal_edges(g: Graph, labels) -> int:
+    return sum(1 for u, v in g.edges if labels[u] == labels[v])
 
 
 def count_cliques_bruteforce(g: Graph, k: int) -> int:
     """Independent all-subsets completeness test; cross-check for k_cliques."""
     cnt = 0
     for sub in combinations(range(g.n), k):
-        if all(g.has_edge(u, v) for u, v in combinations(sub, 2)):
+        if all(has_edge(g, u, v) for u, v in combinations(sub, 2)):
             cnt += 1
     return cnt
 
@@ -36,7 +44,7 @@ class TestGraph:
 
     def test_adjacency_consistent(self):
         g = Graph(3, [(0, 1), (1, 2)])
-        assert g.has_edge(1, 0) and g.has_edge(2, 1) and not g.has_edge(0, 2)
+        assert has_edge(g, 1, 0) and has_edge(g, 2, 1) and not has_edge(g, 0, 2)
         assert sum(a.bit_count() for a in g.adj) == 2 * g.m
 
     def test_validation(self):
@@ -105,6 +113,18 @@ class TestGraph6:
         with pytest.raises(GraphFormatError):
             parse_graph6("A`")          # nonzero padding bits
 
+    def test_file_reads_one_graph_per_line(self, tmp_path):
+        path = tmp_path / "family.g6"
+        path.write_text("Bw\r\n\n  A_\n")
+        assert read_graph6_file(path) == [complete(3), complete(2)]
+
+    def test_non_ascii_file_is_a_format_error(self, tmp_path):
+        path = tmp_path / "bad.g6"
+        path.write_bytes(b"Bw\nB\xc3w\n")
+        with pytest.raises(GraphFormatError, match="non-ASCII") as info:
+            read_graph6_file(path)
+        assert info.value.offset == 4
+
 
 class TestGenerators:
     def test_counts(self):
@@ -119,8 +139,8 @@ class TestGenerators:
 
     def test_turan_parts_larger_first(self):
         g = turan_graph(7, 4)   # parts 3, 2, 2
-        assert not g.has_edge(0, 1) and not g.has_edge(1, 2)
-        assert g.has_edge(0, 3)
+        assert not has_edge(g, 0, 1) and not has_edge(g, 1, 2)
+        assert has_edge(g, 0, 3)
 
 
 class TestCliques:
@@ -161,16 +181,16 @@ class TestCliques:
 class TestMaxLPartite:
     def test_examples(self):
         c5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
-        part, cross = max_lpartite(c5, 2)
+        labels, cross = max_lpartite(c5, 2)
         assert cross == 4
-        assert part.internal_edges(c5) == 1
+        assert internal_edges(c5, labels) == 1
         assert max_lpartite(complete(4), 3)[1] == 5
         assert max_lpartite(complete_multipartite([3, 3]), 2)[1] == 9
 
     def test_partition_consistent_with_count(self):
         g = turan_graph(7, 4)
-        part, cross = max_lpartite(g, 3)
-        assert g.m - part.internal_edges(g) == cross == g.m
+        labels, cross = max_lpartite(g, 3)
+        assert g.m - internal_edges(g, labels) == cross == g.m
 
     def test_vs_bruteforce(self):
         import itertools

@@ -139,8 +139,8 @@ class TestCertify:
     def test_s2_trivial_instance(self):
         cert = _certify(5, 2)
         assert cert.feasible and cert.optimal
-        assert cert.claimed_value == PowerProduct.one()
-        assert cert.vertex_max == PowerProduct.one()
+        assert cert.claimed_value == PowerProduct()
+        assert cert.vertex_max == PowerProduct()
 
     def test_infeasible_point_flagged(self):
         lp = lpv.build_lp(4, 3)
@@ -224,7 +224,7 @@ class TestMidHighVertices:
         cert = lpv.certify(lp, {})
         assert cert.feasible and not cert.optimal
         # the certified maximum strictly dominates the empty point
-        assert cert.vertex_max.compare(PowerProduct.one()) > 0
+        assert cert.vertex_max.compare(PowerProduct()) > 0
 
     def test_claimed_point_is_case_bases_upper(self):
         for k in range(4, 11):
@@ -271,7 +271,7 @@ class TestDualCertificate:
         lp = lpv.StabilityLP(4, 4, lpv.VARIANT_LOW,
                              (lpv.SuffixConstraint(Fr(1, 2), 2), lpv.SuffixConstraint(Fr(1, 2), 3)),
                              variables=(2, 3), include_e1=False)
-        value = PowerProduct.of_int(9)
+        value = PowerProduct([(9, 1)])
         assert lpv.dual_holds(lp, lpv.DualCertificate((Fr(3), Fr(1))), value)
         assert lpv.dual_holds(lp, lpv.DualCertificate((Fr(2), Fr(3, 2))), value)
         assert not lpv.dual_holds(lp, lpv.DualCertificate((Fr(1), Fr(3))), value)
@@ -302,7 +302,7 @@ class TestDualCertificate:
                              variables=tuple(range(2, 8)), include_e1=False)
         point, dual = lpv.greedy_optimum(lp)
         assert point == {7: Fr(2)} and dual == lpv.DualCertificate((Fr(7), Fr(1)))
-        value = PowerProduct.of_int(49)
+        value = PowerProduct([(7, 2)])
         assert lpv.dual_holds(lp, dual, value)
         lowered = lpv.DualCertificate((Fr(7, 2), Fr(2)))
         assert lowered.value(lp).compare(value) == EQUAL
