@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import json
 import os
-import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate
@@ -75,12 +74,9 @@ class CountResult:
     s: int
     graph_id: str
     method: str
-    elapsed: float
     nodes_visited: int
 
     def to_dict(self) -> dict:
-        # elapsed is intentionally not serialized: payloads must be
-        # byte-identical across runs
         return {
             "graph6": self.graph_id,
             "k": self.k,
@@ -159,7 +155,6 @@ def count_brute(g: Graph, k: int, s: int, r: int,
     import numpy as np
 
     _check_count(k, s, r)
-    t0 = time.perf_counter()
     m = g.m
     total = r ** m
     if total > coloring_budget:
@@ -176,8 +171,7 @@ def count_brute(g: Graph, k: int, s: int, r: int,
         for cols in cl_cols:
             ok &= _distinct_counts(dig[:, cols], r) <= cap
         accepted += int(np.count_nonzero(ok))
-    return CountResult(accepted, r, k, s, g.graph6, METHOD_BRUTE,
-                       time.perf_counter() - t0, total)
+    return CountResult(accepted, r, k, s, g.graph6, METHOD_BRUTE, total)
 
 
 # -- census construction -----------------------------------------------------------
@@ -304,8 +298,7 @@ class _Plan:
             free.append(slot.pop(c))
 
 
-def _layer(plan: _Plan, frontier: dict, e: int, t_max: int, s: int, rules: bool = True,
-           room: int = 0) -> dict:
+def _layer(plan: _Plan, frontier: dict, e: int, rules: bool = True, room: int = 0) -> dict:
     """Label edge e in every state of frontier (a dict that is consumed) and
     return the frontier at depth e + 1.  With rules false it skips the pair
     and group rules.
@@ -317,12 +310,12 @@ def _layer(plan: _Plan, frontier: dict, e: int, t_max: int, s: int, rules: bool 
     hit, born, keep, short, reads, pairs, swaps = plan.step(e)
     if not rules:
         pairs = swaps = ()
-    ones = plan.ones
+    ones, t_max = plan.ones, plan.width
     nbits = t_max.bit_length()
     low = (1 << nbits) - 1
     shift = 2 * nbits
-    field = (1 << plan.width) - 1
-    cap = s - 1
+    field = (1 << t_max) - 1
+    cap = plan.s - 1
     down = range(cap, 0, -1)
     nxt, known = {}, {}
     get, recall = nxt.get, known.get
@@ -392,7 +385,7 @@ def _layer(plan: _Plan, frontier: dict, e: int, t_max: int, s: int, rules: bool 
     return nxt
 
 
-def _count(plan: _Plan, frontier: dict, depth: int, t_max: int, s: int, node_budget: int,
+def _count(plan: _Plan, frontier: dict, depth: int, node_budget: int,
            nodes: int) -> tuple[list[int], int]:
     """Coefficients a_0..a_{t_max} of the leaves below frontier, a dict of
     states at depth, and nodes plus the states expanded on the way, raising
@@ -407,7 +400,7 @@ def _count(plan: _Plan, frontier: dict, depth: int, t_max: int, s: int, node_bud
     skip them and remember no canonical forms.  A whole layer remembers
     canonical forms in the room its frontier leaves under the bound.
     """
-    m = plan.m
+    m, t_max = plan.m, plan.width
     most = 8 * _FRONTIER_BYTES // plan.key_bits
     low = (1 << t_max.bit_length()) - 1
     coeffs = [0] * (t_max + 1)
@@ -419,8 +412,7 @@ def _count(plan: _Plan, frontier: dict, depth: int, t_max: int, s: int, node_bud
             nodes += len(frontier)
             if nodes > node_budget:   # checked before the work, so it is never done
                 raise ResourceLimitError(f"census node budget {node_budget} exceeded")
-            frontier = _layer(plan, frontier, depth, t_max, s, whole,
-                              most - len(frontier) if whole else 0)
+            frontier = _layer(plan, frontier, depth, whole, most - len(frontier) if whole else 0)
             depth += 1
         if depth < m:
             whole = False
@@ -481,7 +473,7 @@ def _candidate_masks(g: Graph, masks: list[int]) -> list[list[int]]:
     return out
 
 
-def _race(plans: list, t_max: int, s: int, node_budget: int):
+def _race(plans: list, node_budget: int):
     """Run the candidate plans layer by layer in step and keep one; returns
     (plan, its frontier, depth, states expanded by all of them).
 
@@ -506,8 +498,7 @@ def _race(plans: list, t_max: int, s: int, node_budget: int):
         nodes += sum(len(fr) for _, _, fr in racers)
         if nodes > node_budget:
             raise ResourceLimitError(f"census node budget {node_budget} exceeded")
-        racers = [(plan, len(fr), _layer(plan, fr, depth, t_max, s, True,
-                                         headroom // plan.key_bits))
+        racers = [(plan, len(fr), _layer(plan, fr, depth, True, headroom // plan.key_bits))
                   for plan, _, fr in racers]
         depth += 1
         _, was, least = min(racers, key=lambda racer: len(racer[2]))
@@ -541,8 +532,8 @@ def build_census(g: Graph, k: int, s: int, t_max: int | None = None,
     # a census of few edges is over before another order could pay for its race
     candidates = _candidate_masks(g, masks) if m > _RACE_MIN_EDGES else [masks]
     plan, frontier, depth, nodes = _race([_Plan(c, m, s, t_max) for c in candidates],
-                                         t_max, s, node_budget)
-    coeffs, nodes = _count(plan, frontier, depth, t_max, s, node_budget, nodes)
+                                         node_budget)
+    coeffs, nodes = _count(plan, frontier, depth, node_budget, nodes)
     return CensusPolynomial(k=k, s=s, graph_id=g.graph6, t_max=t_max,
                             coefficients={t: a for t, a in enumerate(coeffs) if a}, m=m,
                             nodes_visited=nodes)
@@ -556,10 +547,9 @@ def evaluate(poly: CensusPolynomial, r: int) -> CountResult:
         raise ContractViolationError(
             f"census truncated at t_max = {poly.t_max} cannot evaluate at r = {r}; "
             f"need t_max >= {min(poly.m, r)}")
-    t0 = time.perf_counter()
     value = sum(a * perm(r, t) for t, a in poly.coefficients.items())
     return CountResult(value, r, poly.k, poly.s, poly.graph_id, METHOD_CENSUS,
-                       time.perf_counter() - t0, poly.nodes_visited)
+                       poly.nodes_visited)
 
 
 # -- auto strategy -------------------------------------------------------------------
@@ -579,14 +569,11 @@ def count_colorings(g: Graph, k: int, s: int, r: int, method: str = "auto",
         return count_brute(g, k, s, r, coloring_budget=coloring_budget)
     if method not in ("auto", "census"):
         raise ContractViolationError(f"unknown method {method!r}")
-    t0 = time.perf_counter()
     if method == "auto" and r < s:
-        return CountResult(r ** g.m, r, k, s, g.graph6,
-                           METHOD_TRIVIAL_FEWER_COLORS, time.perf_counter() - t0, 0)
+        return CountResult(r ** g.m, r, k, s, g.graph6, METHOD_TRIVIAL_FEWER_COLORS, 0)
     masks = [mask for _, mask in k_cliques(g, k)]
     if method == "auto" and not masks:
-        return CountResult(r ** g.m, r, k, s, g.graph6,
-                           METHOD_TRIVIAL_KFREE, time.perf_counter() - t0, 0)
+        return CountResult(r ** g.m, r, k, s, g.graph6, METHOD_TRIVIAL_KFREE, 0)
     t_need = _census_t_max(g, r)
     # the exact key: a census of a larger t_max would serve, but its
     # nodes_visited is not what this count prints when it builds its own
@@ -595,7 +582,7 @@ def count_colorings(g: Graph, k: int, s: int, r: int, method: str = "auto",
         poly = build_census(g, k, s, t_max=t_need, node_budget=node_budget, masks=masks)
         if cache:
             cache.put(poly)
-    return replace(evaluate(poly, r), elapsed=time.perf_counter() - t0)
+    return evaluate(poly, r)
 
 
 def _check_count(k: int, s: int, r: int):

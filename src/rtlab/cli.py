@@ -14,6 +14,7 @@ import functools
 import json
 import os
 import sys
+import time
 from typing import NamedTuple
 
 from . import __version__, census, lpverify, propcheck, thresholds
@@ -167,7 +168,7 @@ def _threshold_table(args) -> _Output:
         r0_row, r1_row = [str(k)], [str(k)]
         for s in table.s_values:
             rep = table.cells.get((k, s))
-            mark = table.marker(k, s)
+            mark = "" if rep is None else rep.marker
             r0_row.append("" if rep is None else f"{rep.r0}{mark}")
             if s >= 3:
                 r1_row.append("" if rep is None else f"{rep.r1}{mark}")
@@ -188,8 +189,8 @@ def _run_thresholds(args, cfg) -> _Output:
         raise _UsageError("single-cell mode needs one k and one s (or use: thresholds table)")
     rep = thresholds.threshold_report(args.k[0], args.s[0])
     cell = rep.to_dict()
-    md = (f"k={rep.k} s={rep.s}: r0={rep.r0} r1={cell['r1']} regime={rep.regime.value} "
-          f"s0={rep.s0} s1={rep.s1} base={rep.base}")
+    md = (f"k={rep.k} s={rep.s}: r0={rep.r0} r1={cell['r1']} regime={cell['regime']} "
+          f"s0={cell['s0']} s1={cell['s1']} base={rep.base}")
     return _Output("thresholds", cell, [md], [_CELL_COLUMNS, [cell[c] for c in _CELL_COLUMNS]])
 
 
@@ -218,9 +219,10 @@ def _graph_from_args(args):
 
 def _run_count(args, cfg) -> _Output:
     g = _graph_from_args(args)
+    t0 = time.perf_counter()
     res = census.count_colorings(g, args.k, args.s, args.r, method=args.method,
                                  **_census_kwargs(cfg))
-    print(f"elapsed: {res.elapsed:.3f}s", file=sys.stderr)
+    print(f"elapsed: {time.perf_counter() - t0:.3f}s", file=sys.stderr)
     md = (f"count(graph6={res.graph_id!r}, k={res.k}, s={res.s}, r={res.r}) "
           f"= {res.value}  [{res.method}]")
     csv = ["graph6,k,s,r,method,value,nodes_visited".split(","),
@@ -384,7 +386,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("props", help="run property checkers")
     p.add_argument("--check", choices=("lpartite", "furedi", "partsizes",
                                        "entropy", "turanbounds", "all"), default="all")
-    p.add_argument("--n-max", dest="n_max", type=int, default=7)
+    p.add_argument("--n-max", dest="n_max", type=_int_at_least(1, "positive"), default=7)
     p.add_argument("--instances", type=_int_at_least(0, "non-negative"), default=100)
     p.add_argument("--k", type=int, default=4)
     p.add_argument("--t", type=int, default=16)

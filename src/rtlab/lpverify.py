@@ -84,31 +84,32 @@ def build_lp(k: int, s: int, p: int | None = None, j: int | None = None) -> Stab
     """Assemble the constraint system for (k, s), in the regime
     thresholds.regime_params gives it.
 
-    LOW (s <= s0) carries one suffix row per i in [1, i*]; the last row's
-    range can clamp at index 1, in which case e_1 joins the instance with
-    objective weight of factor 1.  MID_HIGH extends the rows through i = k-2
-    and adds the cap on the low indices the suffix rows cannot reach,
-    weighted by the feasible witness pair (p, j), by default the L_opt
-    witness.  Either way the top row i is len(rows).
+    Row i, for i in [1, top], is (k-i-1)/(k-i) * (e_lo + ... + e_{s-1}) <= 1
+    with lo = max(1, s - A(k, k-i)).  LOW (s <= s0) has top = i*, and its
+    last row's range can clamp at index 1, in which case e_1 joins the
+    instance with objective weight of factor 1.  MID_HIGH has top = k-2,
+    where no row clamps, and adds the cap on the low indices the suffix rows
+    cannot reach, weighted by the feasible witness pair (p, j), by default
+    the L_opt witness.  Either way the top row i is len(rows).
     """
     params = regime_params(k, s)
-    if params.regime is Regime.LOW:
+    low = params.regime is Regime.LOW
+    if low:
         if (p, j) != (None, None):
             raise ContractViolationError(
                 f"s = {s} is in the LOW range, up to {params.s0}: its program takes no witness")
-        rows = tuple(SuffixConstraint(Fraction(k - i - 1, k - i),
-                                      max(1, s - cap_A(k, k - i)))
-                     for i in range(1, params.i_star + 1))
+    elif (p, j) == (None, None):
+        _, (p, j) = l_opt(k, s)
+    elif None in (p, j) or not witness_feasible(k, s, p, j):
+        raise ContractViolationError(f"(p, j) = {(p, j)} is no witness for (k, s) = {(k, s)}")
+    top = params.i_star if low else k - 2
+    rows = tuple(SuffixConstraint(Fraction(k - i - 1, k - i), max(1, s - cap_A(k, k - i)))
+                 for i in range(1, top + 1))
+    if low:
         lo_min = min(c.lo for c in rows)
         return StabilityLP(k, s, VARIANT_LOW, rows,
                            variables=tuple(range(max(2, lo_min), s)),
                            include_e1=lo_min <= 1)
-    if (p, j) == (None, None):
-        _, (p, j) = l_opt(k, s)
-    elif None in (p, j) or not witness_feasible(k, s, p, j):
-        raise ContractViolationError(f"(p, j) = {(p, j)} is no witness for (k, s) = {(k, s)}")
-    rows = tuple(SuffixConstraint(Fraction(k - i - 1, k - i), s - cap_A(k, k - i))
-                 for i in range(1, k - 1))
     return StabilityLP(k, s, VARIANT_MID_HIGH, rows,
                        variables=tuple(range(2, s)),
                        include_e1=False,

@@ -348,14 +348,17 @@ def pairs_report(k_range=(4, 9), s_min: int = 3) -> dict:
 
 def find_k0(s: int, k_max: int = 30) -> CheckReport:
     """All k in [4, k_max] with r0(k, s) = s and r1(k, s) = s - 1, and the
-    least k from which the property holds through k_max."""
+    least k from which the property holds through k_max.  A range with no
+    k of C(k, 2) >= s tests nothing, and is refused as a k_max over 40 is."""
     if s < 3:
         raise ContractViolationError(f"find_k0 needs s >= 3, got {s}")
     if k_max > 40:
         raise ContractViolationError(f"find_k0 capped at k_max = 40, got {k_max}")
+    tested = [k for k in range(4, k_max + 1) if comb(k, 2) >= s]
+    if not tested:
+        raise ContractViolationError(f"no k in [4, {k_max}] has C(k, 2) >= s = {s}")
     report = CheckReport("threshold_equals_s")
     qualifying = []
-    tested = [k for k in range(4, k_max + 1) if comb(k, 2) >= s]
     for k in tested:
         report.instances_tested += 1
         if r0(k, s) == s and r1(k, s) == s - 1:

@@ -214,74 +214,63 @@ def l_opt(k: int, s: int) -> tuple[Fraction, tuple[int, int]]:
     return params.l_opt, params.l_opt_witness
 
 
+ASTERISK = "*"      # first s beyond s0
+STAR = "★"     # first s beyond s1
+
+
 @dataclass(frozen=True)
 class ThresholdReport:
     """Every derived quantity for one (k, s) cell."""
 
     k: int
     s: int
-    s0: int
-    s1: int
-    regime: Regime
-    i_star: int | None
-    p_star: int | None
-    j_star: int | None
+    params: RegimeParams
     base: PowerProduct
     r0: int
     r1: int
-    l_opt: Fraction | None = None
-    l_opt_witness: tuple[int, int] | None = None
+
+    @property
+    def marker(self) -> str:
+        """STAR on the first s beyond s1, ASTERISK on the first beyond s0."""
+        if self.s == self.params.s1 + 1:
+            return STAR
+        if self.s == self.params.s0 + 1:
+            return ASTERISK
+        return ""
 
     def to_dict(self) -> dict:
+        p = self.params
         d = {
             "k": self.k,
             "s": self.s,
-            "s0": self.s0,
-            "s1": self.s1,
-            "regime": self.regime.value,
-            "i_star": self.i_star,
-            "p_star": self.p_star,
-            "j_star": self.j_star,
+            "s0": p.s0,
+            "s1": p.s1,
+            "regime": p.regime.value,
+            "i_star": p.i_star,
+            "p_star": p.p_star,
+            "j_star": p.j_star,
             "base_factors": self.base.factor_list(),
             "r0": str(self.r0),
             "r1": str(self.r1) if self.s >= 3 else "",
         }
-        if self.l_opt is not None:
-            d["l_opt"] = f"{self.l_opt.numerator}/{self.l_opt.denominator}"
-            d["l_opt_witness"] = list(self.l_opt_witness)
+        if p.l_opt is not None:
+            d["l_opt"] = f"{p.l_opt.numerator}/{p.l_opt.denominator}"
+            d["l_opt_witness"] = list(p.l_opt_witness)
         return d
 
 
 def threshold_report(k: int, s: int) -> ThresholdReport:
     base, params = r0_base(k, s)
-    return ThresholdReport(
-        k=k, s=s, s0=params.s0, s1=params.s1, regime=params.regime,
-        i_star=params.i_star, p_star=params.p_star, j_star=params.j_star,
-        base=base, r0=pp_floor(base) + 1, r1=_r1_value(k, s),
-        l_opt=params.l_opt, l_opt_witness=params.l_opt_witness)
+    return ThresholdReport(k, s, params, base, r0=pp_floor(base) + 1, r1=_r1_value(k, s))
 
 
 # -- table emission -----------------------------------------------------------
-
-ASTERISK = "*"      # first s beyond s0
-STAR = "★"     # first s beyond s1
-
 
 @dataclass
 class ThresholdTable:
     k_values: tuple[int, ...]
     s_values: tuple[int, ...]
     cells: dict = field(default_factory=dict)  # (k, s) -> ThresholdReport
-
-    def marker(self, k: int, s: int) -> str:
-        rep = self.cells.get((k, s))
-        if rep is None:
-            return ""
-        if s == rep.s1 + 1:
-            return STAR
-        if s == rep.s0 + 1:
-            return ASTERISK
-        return ""
 
 
 def emit_tables(k_values, s_values=None) -> ThresholdTable:

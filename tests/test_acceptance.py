@@ -69,8 +69,8 @@ def test_criterion_3_regime_markers():
     table = th.emit_tables([4, 5, 6])
     want_ast = {(4, 5), (5, 7), (6, 9)}
     want_star = {(6, 15)}
-    got_ast = {(k, s) for (k, s) in table.cells if table.marker(k, s) == th.ASTERISK}
-    got_star = {(k, s) for (k, s) in table.cells if table.marker(k, s) == th.STAR}
+    got_ast = {(k, s) for (k, s), rep in table.cells.items() if rep.marker == th.ASTERISK}
+    got_star = {(k, s) for (k, s), rep in table.cells.items() if rep.marker == th.STAR}
     ok = got_ast == want_ast and got_star == want_star
     _report(3, ok, f"asterisks {sorted(got_ast)} star {sorted(got_star)} "
                    f"from computed s0/s1")

@@ -5,10 +5,12 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
+from rtlab import census
 from rtlab.cli import (EXIT_CHECK_FAILED, EXIT_CONTRACT, EXIT_OK, EXIT_RESOURCE,
                        EXIT_USAGE, main)
 
@@ -115,6 +117,19 @@ class TestCount:
         _, out, err = run(capsys, "count", "--complete", "3", "--k", "3", "--s", "2",
                           "--r", "2", "--format", "json")
         assert "elapsed" in err and "elapsed" not in out
+
+    def test_elapsed_includes_the_census(self, capsys, monkeypatch):
+        real = census.build_census
+
+        def slow(*args, **kwargs):
+            time.sleep(0.05)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(census, "build_census", slow)
+        code, _, err = run(capsys, "count", "--complete", "4", "--k", "4", "--s", "3", "--r", "3")
+        assert code == EXIT_OK
+        elapsed = float(err.split("elapsed: ")[1].split("s")[0])
+        assert elapsed >= 0.05
 
     @pytest.mark.parametrize("argv", [
         "count --complete 3 --k 3 --s 2 --r -1",
@@ -317,6 +332,12 @@ class TestLpAndPairs:
         code, out, _ = run(capsys, "findk0", "--s", "3", "--k-max", "12", "--format", "json")
         assert code == EXIT_OK
 
+    @pytest.mark.parametrize("argv", ["--s 3 --k-max -3", "--s 100 --k-max 10"])
+    def test_findk0_with_no_k_to_test_is_a_contract_error(self, capsys, argv):
+        code, out, err = run(capsys, "findk0", *argv.split())
+        assert code == EXIT_CONTRACT and out == ""
+        assert "has C(k, 2) >= s" in err
+
 
 class TestProps:
     def test_entropy_check_passes(self, capsys):
@@ -328,7 +349,9 @@ class TestProps:
 
     @pytest.mark.parametrize("argv", ["--check entropy --grid 0", "--check entropy --grid -2",
                                       "--check furedi --instances -3",
-                                      "--check partsizes --instances -1"])
+                                      "--check partsizes --instances -1",
+                                      "--check lpartite --n-max -1",
+                                      "--check lpartite --n-max 0"])
     def test_bad_counts_usage(self, capsys, argv):
         code, out, err = run(capsys, "props", *argv.split())
         assert code == EXIT_USAGE and out == ""

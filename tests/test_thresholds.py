@@ -205,7 +205,8 @@ class TestLOpt:
     def test_report_reads_regime_params(self):
         for k, s in [(4, 5), (6, 15), (9, 20), (9, 36)]:
             rep, params = th.threshold_report(k, s), th.regime_params(k, s)
-            assert (rep.l_opt, rep.l_opt_witness) == (params.l_opt, params.l_opt_witness)
+            assert (rep.params.l_opt, rep.params.l_opt_witness) == \
+                (params.l_opt, params.l_opt_witness)
             assert rep.to_dict()["l_opt_witness"] == list(params.l_opt_witness)
 
     def test_examples(self):
@@ -235,9 +236,9 @@ class TestLOpt:
 class TestReportAndTables:
     def test_report_fields(self):
         rep = th.threshold_report(4, 5)
-        assert (rep.r0, rep.r1, rep.regime) == (222, 7, Regime.MID)
-        assert rep.p_star == 3 and rep.i_star is None and rep.j_star is None
-        assert rep.l_opt == Fr(4)
+        assert (rep.r0, rep.r1, rep.params.regime) == (222, 7, Regime.MID)
+        assert rep.params.p_star == 3 and rep.params.i_star is None and rep.params.j_star is None
+        assert rep.params.l_opt == Fr(4)
         d = rep.to_dict()
         assert d["r0"] == "222" and d["regime"] == "MID"
 
@@ -245,7 +246,8 @@ class TestReportAndTables:
         for k in range(4, 9):
             for s in range(2, comb(k, 2) + 1):
                 rep = th.threshold_report(k, s)
-                populated = [x for x in (rep.i_star, rep.p_star, rep.j_star) if x is not None]
+                p = rep.params
+                populated = [x for x in (p.i_star, p.p_star, p.j_star) if x is not None]
                 assert len(populated) == 1
 
     def test_row_k4(self):
@@ -257,13 +259,13 @@ class TestReportAndTables:
         assert [table.cells[(5, s)].r1 for s in range(3, 11)] == [2, 4, 6, 8, 10, 13, 15, 18]
 
     def test_markers(self):
-        table = th.emit_tables([4, 5, 6])
-        assert table.marker(4, 5) == th.ASTERISK
-        assert table.marker(5, 7) == th.ASTERISK
-        assert table.marker(6, 9) == th.ASTERISK
-        assert table.marker(6, 15) == th.STAR
-        assert table.marker(4, 4) == ""
-        assert table.marker(5, 8) == ""
+        cells = th.emit_tables([4, 5, 6]).cells
+        assert cells[(4, 5)].marker == th.ASTERISK
+        assert cells[(5, 7)].marker == th.ASTERISK
+        assert cells[(6, 9)].marker == th.ASTERISK
+        assert cells[(6, 15)].marker == th.STAR
+        assert cells[(4, 4)].marker == ""
+        assert cells[(5, 8)].marker == ""
 
     def test_serializations(self, capsys):
         # the table's md, csv and json forms are rendered by the CLI
