@@ -9,6 +9,10 @@ chooses per graph) and tallies a census polynomial: a_t counts admissible
 partitions with exactly t blocks, and the admissible colorings for any
 palette size r number sum_t a_t * r*(r-1)*...*(r-t+1).
 
+Complete graphs at (k, s) = (3, 3) are counted instead by a polynomial
+recurrence over Gallai's decomposition of colorings with no rainbow
+triangle; the census still counts them when asked for by method.
+
 A definitional brute-force oracle that walks all r**m colorings is kept
 alongside and stays independent of the partition route; the two are held
 equal on a large corpus by the test suite.
@@ -24,7 +28,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import accumulate
 from math import comb, perm
-from operator import lshift
+from operator import lshift, mul
 from pathlib import Path
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
@@ -62,6 +66,7 @@ if TYPE_CHECKING:   # numpy is imported where it is used: only brute-force count
 
 METHOD_BRUTE = "brute"
 METHOD_CENSUS = "census"
+METHOD_GALLAI = "gallai"
 METHOD_TRIVIAL_KFREE = "trivial_kfree"
 METHOD_TRIVIAL_FEWER_COLORS = "trivial_r_lt_s"   # r < s admits every coloring
 
@@ -552,6 +557,56 @@ def evaluate(poly: CensusPolynomial, r: int) -> CountResult:
                        poly.nodes_visited)
 
 
+# -- complete graphs at (k, s) = (3, 3) ------------------------------------------------
+#
+# At (3, 3) an admissible coloring of K_n is one with no rainbow triangle, a
+# Gallai coloring.  Its strong-module tree (Gallai 1967; Gyarfas and Simonyi,
+# J. Graph Theory 2004) is unique, and each internal node either puts one color
+# on every edge between its children or has a prime two-colored quotient on
+# q >= 4 children, whose insides are any Gallai colorings.  With B_{n,q}(f) the
+# sum over the set partitions of n labelled vertices into q blocks of the
+# product of f(block size), G(n) the colorings of K_n and C(n) those whose
+# edges of other colors than a given one leave the vertices disconnected:
+#   G(1) = 1,  C(n) = sum_{q >= 2} B_{n,q}(G - C),
+#   G(n) = r C(n) + C(r, 2) sum_{q = 4..n} P(q) B_{n,q}(G),
+# with P(q) the labelled prime graphs on q vertices.  At r = 2 every coloring
+# counts, so G(n) = 2^C(n,2) there, and since B_{n,n} = 1 the same recurrence
+# reads P(n) off.
+
+#: P(q), the labelled prime graphs on q vertices, for every q < len: none below 4
+_PRIME_GRAPHS = [0, 0, 0, 0]
+
+
+def _block_row(m: int, f: list[int], rows: list[list[int]]) -> list[int]:
+    """[B_{m,q}(f) for q = 0..m] from the rows of fewer vertices, by the size a
+    of the block that holds the last vertex; the q = 1 entry, f(m), is left 0."""
+    row = [0] * (m + 1)
+    for a in range(1, m):
+        weight, rest = comb(m - 1, a - 1) * f[a], rows[m - a]
+        for q in range(1, m - a + 1):
+            row[q + 1] += weight * rest[q]
+    return row
+
+
+def _gallai_count(n: int, r: int) -> int:
+    """G(n): the colorings of K_n, n >= 1, in r colors with no rainbow triangle."""
+    if r != 2 and n >= len(_PRIME_GRAPHS):
+        _gallai_count(n, 2)   # extends _PRIME_GRAPHS through P(n)
+    g, h = [0, 1], [0, 1]   # G(a) and G(a) - C(a), by a; C(1) = 0
+    bg, bh = [[1], [0, 1]], [[1], [0, 1]]   # B_{a,q}(G) and B_{a,q}(G - C), by a then q
+    for m in range(2, n + 1):
+        bg.append(_block_row(m, g, bg))
+        bh.append(_block_row(m, h, bh))
+        c = sum(bh[m])
+        if m == len(_PRIME_GRAPHS):   # P(m) not yet known, so r = 2
+            _PRIME_GRAPHS.append(2 ** comb(m, 2) - 2 * c - sum(map(mul, _PRIME_GRAPHS, bg[m])))
+        gm = r * c + comb(r, 2) * sum(map(mul, _PRIME_GRAPHS, bg[m]))
+        g.append(gm)
+        h.append(gm - c)
+        bg[m][1], bh[m][1] = gm, gm - c
+    return g[n]
+
+
 # -- auto strategy -------------------------------------------------------------------
 
 def count_colorings(g: Graph, k: int, s: int, r: int, method: str = "auto",
@@ -562,7 +617,8 @@ def count_colorings(g: Graph, k: int, s: int, r: int, method: str = "auto",
 
     Shortcuts: with r < s no coloring can show s distinct colors on any
     clique, and with no k-clique present the constraint is empty, so both
-    cases count r**m directly.
+    cases count r**m directly.  A complete graph at (k, s) = (3, 3) is
+    counted by the Gallai recurrence, in time polynomial in n.
     """
     _check_count(k, s, r)
     if method == "brute":
@@ -571,6 +627,8 @@ def count_colorings(g: Graph, k: int, s: int, r: int, method: str = "auto",
         raise ContractViolationError(f"unknown method {method!r}")
     if method == "auto" and r < s:
         return CountResult(r ** g.m, r, k, s, g.graph6, METHOD_TRIVIAL_FEWER_COLORS, 0)
+    if method == "auto" and (k, s) == (3, 3) and g.n >= 3 and g.m == comb(g.n, 2):
+        return CountResult(_gallai_count(g.n, r), r, k, s, g.graph6, METHOD_GALLAI, 0)
     masks = [mask for _, mask in k_cliques(g, k)]
     if method == "auto" and not masks:
         return CountResult(r ** g.m, r, k, s, g.graph6, METHOD_TRIVIAL_KFREE, 0)

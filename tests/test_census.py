@@ -13,7 +13,7 @@ from rtlab.census import CensusCache, build_census, count_brute, count_colorings
     extremal_scan, integer_partitions, question2_ratio
 from rtlab.errors import ContractViolationError, ResourceLimitError
 from rtlab.graphs import Graph, complete, complete_multipartite, k_cliques, turan_graph
-from rtlab.thresholds import turan_ex
+from rtlab.thresholds import PRIOR_WORK_R0_K3, turan_ex
 
 from census_walk_oracle import walk_census
 
@@ -132,8 +132,8 @@ class TestCensus:
         assert evaluate(poly, 9).value == 1
 
     def test_census_scan_rows(self):
-        # the complete multipartite counts at r = 4 that go to a census, with
-        # the states each expands; 14,721 in all
+        # the complete multipartite counts of census-scan at r = 4, with the
+        # states each census expands; 14,721 in all
         rows = [((4, 1, 1, 1), 4, 3, 80, 1084480), ((3, 2, 1, 1), 4, 3, 164, 1594624),
                 ((3, 1, 1, 1, 1), 4, 3, 263, 1913056), ((2, 2, 2, 1), 4, 3, 1169, 1802248),
                 ((2, 2, 1, 1, 1), 4, 3, 927, 3237952), ((2, 1, 1, 1, 1, 1), 4, 3, 819, 6314512),
@@ -141,11 +141,16 @@ class TestCensus:
                 ((3, 2, 1), 3, 3, 83, 253696), ((3, 1, 1, 1), 3, 3, 176, 252544),
                 ((2, 2, 2), 3, 3, 309, 406528), ((2, 2, 1, 1), 3, 3, 491, 471184),
                 ((2, 1, 1, 1, 1), 3, 3, 997, 601216), ((1,) * 6, 3, 3, 7863, 843904)]
-        got = [count_colorings(complete_multipartite(parts), k, s, 4)
+        got = [count_colorings(complete_multipartite(parts), k, s, 4, method="census")
                for parts, k, s, _, _ in rows]
         assert all(res.method == "census" for res in got)
         assert [(res.nodes_visited, res.value) for res in got] == [row[3:] for row in rows]
         assert sum(res.nodes_visited for res in got) == 14_721
+        # under auto, K6 at (3, 3) takes the Gallai route and every other row the census
+        auto = [count_colorings(complete_multipartite(parts), k, s, 4)
+                for parts, k, s, _, _ in rows]
+        assert [res.method for res in auto] == ["census"] * 13 + ["gallai"]
+        assert [res.value for res in auto] == [res.value for res in got]
 
 
 _LAYER = census._layer
@@ -377,6 +382,76 @@ class TestAutoStrategy:
 
 
 
+def _is_prime(q, adj):
+    """No vertex set of size 2..q-1 is a module: some vertex outside it sees
+    part of it."""
+    for sub in range(1, 1 << q):
+        if 2 <= sub.bit_count() < q and all(
+                adj[v] & sub in (0, sub) for v in range(q) if not sub >> v & 1):
+            return False
+    return True
+
+
+def _prime_graphs(q):
+    """Labelled prime graphs on q vertices, by checking every graph."""
+    pairs = list(itertools.combinations(range(q), 2))
+    count = 0
+    for mask in range(1 << len(pairs)):
+        adj = [0] * q
+        for i, (u, v) in enumerate(pairs):
+            if mask >> i & 1:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+        count += _is_prime(q, adj)
+    return count
+
+
+class TestGallaiRoute:
+    # K_n at (k, s) = (3, 3) under auto: the Gallai recurrence
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_equals_census(self, n):
+        poly = build_census(complete(n), 3, 3)
+        assert census._gallai_count(n, 2) == evaluate(poly, 2).value
+        for r in range(3, 7):
+            res = count_colorings(complete(n), 3, 3, r)
+            assert (res.method, res.nodes_visited) == ("gallai", 0)
+            assert res.value == evaluate(poly, r).value
+
+    def test_equals_brute(self):
+        for n in range(1, 6):
+            for r in range(2, 5):
+                assert census._gallai_count(n, r) == count_brute(complete(n), 3, 3, r).value
+
+    def test_prime_counts_pinned(self, monkeypatch):
+        # P(4): the 4!/2 labelled P4s; P(5): P5 60, C5 12, bull 60, house 60
+        monkeypatch.setattr(census, "_PRIME_GRAPHS", [0, 0, 0, 0])
+        census._gallai_count(8, 3)   # a cold cache, filled through the r = 2 walk
+        assert census._PRIME_GRAPHS == [0, 0, 0, 0, 12, 192, 10_800, 970_080, 161_310_240]
+        # no quotient on 3 children is prime; the recurrence has none below 4
+        assert [_prime_graphs(q) for q in (3, 4, 5)] == census._PRIME_GRAPHS[3:6]
+
+    def test_cache_changes_no_count(self, monkeypatch):
+        warm = [census._gallai_count(n, 4) for n in range(1, 12)]
+        monkeypatch.setattr(census, "_PRIME_GRAPHS", [0, 0, 0, 0])
+        assert [census._gallai_count(n, 4) for n in range(1, 12)] == warm
+
+    def test_other_graphs_and_methods_keep_their_routes(self):
+        k6_minus_edge = Graph(6, [e for e in itertools.combinations(range(6), 2) if e != (0, 1)])
+        assert count_colorings(k6_minus_edge, 3, 3, 4).method == "census"
+        assert count_colorings(K5, 4, 3, 4).method == "census"
+        assert count_colorings(K5, 3, 4, 4).method == "census"
+        forced = count_colorings(complete(6), 3, 3, 4, method="census")
+        assert (forced.method, forced.nodes_visited, forced.value) == ("census", 7863, 843904)
+        assert count_colorings(K4, 3, 3, 3, method="brute").method == "brute"
+
+    def test_reaches_64_vertices(self):
+        res = count_colorings(complete(64), 3, 3, 3)
+        assert res.method == "gallai"
+        # q2's reference, C(3, 2) * 2^C(n,2), is within 1e-12 of the count
+        reference = 3 * 2 ** comb(64, 2)
+        assert reference < res.value < reference + reference // 10 ** 12
+
+
 class TestCompareVsTuran:
     # count(G) against the Turan graph's r ** ex(n, k): it has no k-clique
     def test_turan_graph_itself(self):
@@ -387,6 +462,18 @@ class TestCompareVsTuran:
 
     def test_monochromatic_loses(self):
         assert count_colorings(K4, 4, 2, 3).value == 3 < 3 ** turan_ex(4, 4) == 3 ** 5
+
+    def test_prior_work_r0_k3_at_finite_n(self):
+        # r0(3, 3) = 4: from r0 on, T_2(n) beats K_n at every n from some n on;
+        # below it, K_n wins at every n
+        r0 = PRIOR_WORK_R0_K3[(3, 3)]
+
+        def complete_wins(n, r):
+            return count_colorings(complete(n), 3, 3, r).value > r ** turan_ex(n, 3)
+
+        assert [n for n in range(3, 31) if complete_wins(n, r0)] == list(range(3, 8))
+        assert [n for n in range(3, 31) if complete_wins(n, r0 + 1)] == list(range(3, 7))
+        assert all(complete_wins(n, r0 - 1) for n in range(3, 41))
 
 
 class TestScan:
@@ -410,10 +497,12 @@ class TestScan:
         assert row.value == 4 ** 12 == res.turan_count
 
     def test_budget_failures_recorded(self):
-        res = extremal_scan(6, 3, 3, 5, node_budget=2000)
+        # K_{2,1,1,1,1} expands 997 states; K6 takes the Gallai route, which has no budget
+        res = extremal_scan(6, 3, 3, 5, node_budget=500)
         errs = [r for r in res.rows if r.error]
         good = [r for r in res.rows if r.value is not None]
         assert errs and good  # scan continued past per-row failures
+        assert res.top.parts == (1,) * 6 and res.top.method == "gallai"
 
     @pytest.mark.parametrize("k, s, r", [(9, 1, 3), (-5, 3, 2), (3, 3, -1)])
     def test_contract_checked_before_any_row(self, tmp_path, k, s, r):

@@ -131,6 +131,27 @@ class TestCount:
         elapsed = float(err.split("elapsed: ")[1].split("s")[0])
         assert elapsed >= 0.05
 
+    def test_complete_graph_at_3_3_beyond_the_census(self, capsys):
+        # the census exits 3 on K8 under the default budget; the Gallai route does not
+        code, out, _ = run(capsys, "count", "--complete", "8", "--k", "3", "--s", "3",
+                           "--r", "3", "--format", "json")
+        assert code == EXIT_OK
+        res = json.loads(out)["result"]
+        assert (res["method"], res["nodes_visited"]) == ("gallai", 0)
+
+    def test_method_census_forces_the_census(self, capsys):
+        code, out, _ = run(capsys, "count", "--complete", "6", "--k", "3", "--s", "3",
+                           "--r", "4", "--method", "census", "--format", "json")
+        assert code == EXIT_OK
+        res = json.loads(out)["result"]
+        assert (res["method"], res["nodes_visited"], res["value"]) == ("census", 7863, "843904")
+
+    def test_q2_exact_at_40_vertices(self, capsys):
+        code, out, _ = run(capsys, "q2", "--n", "40", "--k", "3", "--s", "3", "--r", "3",
+                           "--format", "json")
+        assert code == EXIT_OK
+        assert abs(json.loads(out)["result"]["ratio_float"] - 1) < 1e-8
+
     @pytest.mark.parametrize("argv", [
         "count --complete 3 --k 3 --s 2 --r -1",
         "count --turan 6 4 --k 4 --s 3 --r -3",
