@@ -740,21 +740,21 @@ def _scan_row(n, k, s, r, turan_count, count_kwargs, task):
     return ScanRow(g.graph6, parts, res.value, res.method, vs), built[0] if built else None
 
 
-def extremal_scan(n: int, k: int, s: int, r: int,
-                  family: str = "complete_multipartite",
-                  graph6_path=None, jobs: int = 1, cache: "CensusCache | None" = None,
-                  **count_kwargs) -> ScanResult:
-    """Count a graph family exactly and rank it; per-graph budget errors are
-    recorded on their row and the scan continues.  With jobs > 1 a pool of up
-    to jobs processes counts the rows, each under its own budget, and they
-    return in input order, so the result does not depend on jobs."""
+def extremal_scan(n: int, k: int, s: int, r: int, graph6_path=None, jobs: int = 1,
+                  cache: "CensusCache | None" = None, **count_kwargs) -> ScanResult:
+    """Count a graph family exactly and rank it: the graphs of graph6_path,
+    or without one every complete multipartite graph on n vertices.  Per-graph
+    budget errors are recorded on their row and the scan continues.  With
+    jobs > 1 a pool of up to jobs processes counts the rows, each under its
+    own budget, and they return in input order, so the result does not depend
+    on jobs."""
     _check_count(k, s, r)   # before any row, so no row can skip it
-    if family == "complete_multipartite":
-        items = [(complete_multipartite(parts), parts) for parts in integer_partitions(n)]
-    elif family == "graph6_file":
+    if graph6_path:
+        family = "graph6_file"
         items = [(g, None) for g in read_graph6_file(graph6_path)]
     else:
-        raise ContractViolationError(f"unknown scan family {family!r}")
+        family = "complete_multipartite"
+        items = [(complete_multipartite(parts), parts) for parts in integer_partitions(n)]
     turan_count = r ** turan_ex(n, k)
     # rows print no nodes_visited, so a census of a larger t_max serves them
     tasks = [(g, parts, cache and cache.find_at_least(g.graph6, k, s, _census_t_max(g, r)))

@@ -82,11 +82,11 @@ def _part_sizes(text: str) -> list[int]:
             f"{text!r} is not a comma-separated list of part sizes") from None
 
 
-def _load_config_file(path) -> dict:
-    """The shared options a config file sets, checked with the flags' own
-    types and choices; an unknown key or a bad value is a usage error, and
-    main() reports an unreadable file as one."""
-    argv = []
+def _config_flags(path) -> list[str]:
+    """The `key = value` lines of a config file as `--key=value` flags; an
+    unknown key or a line without `=` is a usage error, and main() reports
+    an unreadable file as one."""
+    flags = []
     with open(path, "r", encoding="utf-8") as fh:
         for raw in fh:
             line = raw.split("#", 1)[0].strip()
@@ -97,26 +97,25 @@ def _load_config_file(path) -> dict:
             key, val = (x.strip() for x in line.split("=", 1))
             if key.replace("-", "_") not in DEFAULTS:
                 raise _UsageError(f"config file {path}: unknown key {key!r}")
-            argv.append(f"--{key.replace('_', '-')}={val}")
-    try:
-        values = vars(_option_parser().parse_args(argv))
-    except _UsageError as exc:
-        raise _UsageError(f"config file {path}: {exc}") from None
-    return {key: val for key, val in values.items() if val is not None}
+            flags.append(f"--{key.replace('_', '-')}={val}")
+    return flags
 
 
-def _effective_config(args) -> dict:
-    """defaults < config file < RTL_CACHE env < explicit flags."""
-    cfg = dict(DEFAULTS)
-    if getattr(args, "config", None):
-        cfg.update(_load_config_file(args.config))
+def _parse_args(parser, argv: list[str]):
+    """Parse argv with the config file's flags, then --cache=$RTL_CACHE, put
+    after the command name, so that argparse's last-wins rule layers
+    defaults < config file < RTL_CACHE env < explicit flags."""
+    args = parser.parse_args(argv)
+    layers = _config_flags(args.config) if args.config else []
     if os.environ.get("RTL_CACHE"):
-        cfg["cache"] = os.environ["RTL_CACHE"]
-    for key in DEFAULTS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            cfg[key] = flag
-    return cfg
+        layers.append(f"--cache={os.environ['RTL_CACHE']}")
+    if not layers:
+        return args
+    at = argv.index(args.command) + 1
+    try:
+        return parser.parse_args(argv[:at] + layers + argv[at:])
+    except _UsageError as exc:   # the user's own flags parsed above
+        raise _UsageError(f"config file {args.config}: {exc}") from None
 
 
 class _Output(NamedTuple):
@@ -231,10 +230,8 @@ def _run_count(args, cfg) -> _Output:
 
 
 def _run_scan(args, cfg) -> _Output:
-    res = census.extremal_scan(
-        args.n, args.k, args.s, args.r,
-        family="graph6_file" if args.file else "complete_multipartite",
-        graph6_path=args.file, jobs=cfg["threads"], **_census_kwargs(cfg))
+    res = census.extremal_scan(args.n, args.k, args.s, args.r, graph6_path=args.file,
+                               jobs=cfg["threads"], **_census_kwargs(cfg))
     md = [f"scan n={res.n} k={res.k} s={res.s} r={res.r} "
           f"(reference count {res.turan_count})"]
     csv = ["rank,graph6,parts,value,vs_turan,tied,error".split(",")]
@@ -251,13 +248,10 @@ def _run_scan(args, cfg) -> _Output:
 
 
 def _run_lp(args, cfg) -> _Output:
-    given = (args.p is not None) + (args.j is not None)
-    if given and args.variant == "low":
-        raise _UsageError("--p and --j apply only to --variant mid-high")
-    if given == 1:
+    if (args.p is None) != (args.j is None):
         raise _UsageError("give both --p and --j, or neither for the L_opt witness")
     lp = lpverify.build_lp(args.k, args.s, args.p, args.j)
-    if lp.variant != args.variant.upper().replace("-", "_"):
+    if args.variant and lp.variant != args.variant.upper().replace("-", "_"):
         raise ContractViolationError(
             f"(k, s) = {(args.k, args.s)} is a {lp.variant} program, not --variant {args.variant}")
     cert = lpverify.certify(lp, lpverify.claimed_solution(lp))
@@ -324,24 +318,16 @@ def _required_ints(p, names: str) -> None:
 
 
 def _add_common(p):
-    p.add_argument("--format", choices=("md", "csv", "json"), default=None)
-    p.add_argument("--threads", type=_int_at_least(1, "positive"), default=None,
+    p.add_argument("--format", choices=("md", "csv", "json"), default=DEFAULTS["format"])
+    p.add_argument("--threads", type=_int_at_least(1, "positive"), default=DEFAULTS["threads"],
                    help="processes that count scan rows")
     p.add_argument("--node-budget", dest="node_budget", type=_int_at_least(0, "non-negative"),
-                   default=None)
+                   default=DEFAULTS["node_budget"])
     p.add_argument("--coloring-budget", dest="coloring_budget",
-                   type=_int_at_least(0, "non-negative"), default=None)
-    p.add_argument("--cache", default=None)
-    p.add_argument("--seed", type=int, default=None)
+                   type=_int_at_least(0, "non-negative"), default=DEFAULTS["coloring_budget"])
+    p.add_argument("--cache", default=DEFAULTS["cache"])
+    p.add_argument("--seed", type=int, default=DEFAULTS["seed"])
     p.add_argument("--config", default=None)
-
-
-@functools.cache
-def _option_parser() -> _Parser:
-    """A parser of the options every command shares, for config files."""
-    parser = _Parser(prog="rtlab", add_help=False)
-    _add_common(parser)
-    return parser
 
 
 @functools.cache
@@ -378,7 +364,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("lp", help="build and certify a stability program")
     _required_ints(p, "k s")
-    p.add_argument("--variant", choices=("low", "mid-high"), default="low")
+    p.add_argument("--variant", choices=("low", "mid-high"), default=None,
+                   help="check the cell's regime; by default the program is the cell's own")
     p.add_argument("--p", type=int, default=None)
     p.add_argument("--j", type=int, default=None)
     _add_common(p)
@@ -425,8 +412,8 @@ _RUNNERS = {
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        cfg = _effective_config(args)
+        args = _parse_args(parser, sys.argv[1:] if argv is None else list(argv))
+        cfg = {key: getattr(args, key) for key in DEFAULTS}
         return _emit(_RUNNERS[args.command](args, cfg), cfg)
     except SystemExit as exc:   # argparse --help / --version
         return exc.code or 0

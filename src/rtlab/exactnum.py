@@ -11,10 +11,11 @@ none of them builds a big integer:
 2. EQUAL is decided from exponents.  The quotient's bases are rewritten over
    a pairwise-coprime base by gcd factor refinement (Bach, Driscoll and
    Shallit, J. Algorithms 1993); over such a base the value is 1 exactly
-   when every exponent is 0.  Once each coprime base that is a perfect power
-   is replaced by its root, the value is an integer exactly when every
-   exponent is a non-negative integer.  Nothing is factored, so a huge base
-   costs about as much as a small one.
+   when every exponent is 0.  With exponent f/d on a coprime base c,
+   g = gcd(f, d) and q = d/g, the value is an integer exactly when every f
+   is non-negative and every c is a perfect q-th power, which one integer
+   root per base decides.  Nothing is factored, so a huge base costs about
+   as much as a small one.
 3. A strict order comes from a rigorous interval on the logarithm, computed
    with the standard decimal module (its ln is correctly rounded) plus a
    proven error bound.  The precision doubles until the interval excludes 0,
@@ -204,34 +205,24 @@ def _iroot(n: int, m: int) -> int:
         x = y
 
 
-def _perfect_power(n: int) -> tuple[int, int]:
-    """(r, m) with r ** m == n and m as large as possible, for n >= 2."""
-    m, q = 1, 2
-    while 1 << q <= n:
-        r = _iroot(n, q)
-        if r ** q == n:
-            n, m = r, m * q   # a q that fails for n fails for every root of n
-        else:
-            q += 1
-    return n, m
-
-
 def _integer_exponents(x: PowerProduct) -> list[tuple[int, int]] | None:
     """[(r, e)] with x == prod(r ** e) and integers e >= 0, or None when x
     is not an integer.
 
-    Over pairwise-coprime bases that are not perfect powers, every prime of
-    r occurs in no other base and the gcd of its exponents in r is 1, so x
-    is an integer exactly when each exponent is a non-negative integer.
+    Over pairwise-coprime bases every prime of a base c occurs in no other
+    base, so x is an integer exactly when each c ** (f / d) is.  With
+    g = gcd(f, d) and q = d / g, f / g is prime to q, so that holds exactly
+    when f >= 0 and c is a perfect q-th power.
     """
     base, d = _coprime_base(x.factors)
     out = []
     for c, f in base.items():
-        r, m = _perfect_power(c)
-        e, rem = divmod(f * m, d)
-        if e < 0 or rem:
+        g = math.gcd(f, d)
+        q = d // g
+        r = _iroot(c, q)
+        if f < 0 or r ** q != c:
             return None
-        out.append((r, e))
+        out.append((r, f // g))
     return out
 
 

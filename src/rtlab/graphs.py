@@ -14,7 +14,7 @@ from math import comb
 from .errors import ContractViolationError, ResourceLimitError
 
 MAX_VERTICES = 64
-DEFAULT_MASK_BITS = 128   # clique edge masks must fit this many edge slots
+MASK_BITS = 128   # clique edge masks must fit this many edge slots
 DEFAULT_PARTITION_BUDGET = 16   # exact max-cut search cap, in vertices
 
 
@@ -198,17 +198,15 @@ def turan_graph(n: int, k: int) -> Graph:
 
 # -- cliques --------------------------------------------------------------------
 
-def k_cliques(g: Graph, k: int, mask_bits: int = DEFAULT_MASK_BITS):
+def k_cliques(g: Graph, k: int):
     """All k-vertex cliques as (vertex tuple, edge-index bitmask), lex order.
 
     Tolerates k > n (returns no cliques), since callers probe arbitrary
-    (graph, k) pairs.
+    (graph, k) pairs.  A graph of more than MASK_BITS edges is refused at its
+    first k-clique, so one with none still reports that it has none.
     """
     if k < 2:
         raise ContractViolationError(f"k_cliques needs k >= 2, got {k}")
-    if g.m > mask_bits:
-        raise ResourceLimitError(
-            f"graph has {g.m} edges; clique edge masks capped at {mask_bits}")
     if k > g.n:
         return []
     adj = g.adj
@@ -217,6 +215,9 @@ def k_cliques(g: Graph, k: int, mask_bits: int = DEFAULT_MASK_BITS):
 
     def extend(cand: int, emask: int):
         if len(clique) == k:
+            if g.m > MASK_BITS:
+                raise ResourceLimitError(
+                    f"graph has {g.m} edges; clique edge masks capped at {MASK_BITS}")
             out.append((tuple(clique), emask))
             return
         # not enough vertices left to finish the clique

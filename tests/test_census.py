@@ -508,14 +508,14 @@ class TestScan:
     def test_contract_checked_before_any_row(self, tmp_path, k, s, r):
         path = tmp_path / "family.g6"
         path.write_text(complete(3).graph6 + "\n")   # 3 vertices: no row of n = 4 is counted
-        for kwargs in ({}, {"family": "graph6_file", "graph6_path": path}):
+        for kwargs in ({}, {"graph6_path": path}):
             with pytest.raises(ContractViolationError, match="k >= 2, s >= 2, r >= 0"):
                 extremal_scan(4, k, s, r, **kwargs)
 
     def test_graph6_family(self, tmp_path):
         path = tmp_path / "family.g6"
         path.write_text("\n".join([complete(4).graph6, turan_graph(4, 3).graph6]) + "\n")
-        res = extremal_scan(4, 3, 2, 2, family="graph6_file", graph6_path=path)
+        res = extremal_scan(4, 3, 2, 2, graph6_path=path)
         assert res.top.value == 16
 
     def test_pool_size_is_capped(self, monkeypatch):

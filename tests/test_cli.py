@@ -6,11 +6,12 @@ import shlex
 import subprocess
 import sys
 import time
+from math import comb
 from pathlib import Path
 
 import pytest
 
-from rtlab import census
+from rtlab import census, thresholds
 from rtlab.cli import (EXIT_CHECK_FAILED, EXIT_CONTRACT, EXIT_OK, EXIT_RESOURCE,
                        EXIT_USAGE, main)
 
@@ -130,6 +131,14 @@ class TestCount:
         assert code == EXIT_OK
         elapsed = float(err.split("elapsed: ")[1].split("s")[0])
         assert elapsed >= 0.05
+
+    def test_kfree_graph_beyond_the_clique_mask_cap(self, capsys):
+        # T_3(20) has 133 edges, more than clique edge masks hold, and no K4
+        code, out, _ = run(capsys, "count", "--turan", "20", "4", "--k", "4", "--s", "4",
+                           "--r", "5", "--format", "json")
+        assert code == EXIT_OK
+        res = json.loads(out)["result"]
+        assert res["method"] == "trivial_kfree" and res["value"] == str(5 ** 133)
 
     def test_complete_graph_at_3_3_beyond_the_census(self, capsys):
         # the census exits 3 on K8 under the default budget; the Gallai route does not
@@ -321,18 +330,19 @@ class TestLpAndPairs:
         ["--s", "5", "--variant", "mid-high", "--p", "2"],
         ["--s", "5", "--variant", "mid-high", "--j", "3"],
         ["--s", "3", "--p", "2"],
-        ["--s", "3", "--variant", "low", "--p", "2", "--j", "3"],
     ])
     def test_lp_witness_flags_usage(self, capsys, argv):
-        # one of --p/--j alone, or either with the LOW variant, is refused
+        # one of --p/--j alone is refused
         code, out, err = run(capsys, "lp", "--k", "4", *argv)
         assert code == EXIT_USAGE and out == ""
         assert "usage error" in err and "--p" in err
 
     @pytest.mark.parametrize("argv", [
-        "--k 4 --s 5",                                   # a MID_HIGH cell as --variant low
+        "--k 4 --s 5 --variant low",                     # a MID_HIGH cell as low
         "--k 4 --s 3 --variant mid-high",                # a LOW cell as mid-high
         "--k 4 --s 3 --variant mid-high --p 2 --j 3",
+        "--k 4 --s 3 --variant low --p 2 --j 3",         # a witness for a LOW cell
+        "--k 4 --s 3 --p 2 --j 3",
         "--k 6 --s 15 --variant mid-high --p 3 --j 1",   # infeasible witness
         "--k 3 --s 2",                                   # k outside formula scope
         "--k 4 --s 7",                                   # s > C(k, 2)
@@ -341,6 +351,16 @@ class TestLpAndPairs:
         code, out, err = run(capsys, "lp", *argv.split())
         assert code == EXIT_CONTRACT and out == ""
         assert err.startswith("error:")
+
+    def test_lp_variant_defaults_to_the_cells_regime(self, capsys):
+        cells = [(k, s) for k in range(4, 7) for s in range(2, comb(k, 2) + 1)
+                 if thresholds.regime_params(k, s).regime is not thresholds.Regime.LOW]
+        assert cells
+        for k, s in cells:
+            argv = ["lp", "--k", str(k), "--s", str(s), "--format", "json"]
+            code, out, _ = run(capsys, *argv)
+            assert (code, out) == run(capsys, *argv, "--variant", "mid-high")[:2]
+            assert code == EXIT_OK
 
     def test_pairs(self, capsys):
         code, out, _ = run(capsys, "pairs", "--k", "4..9", "--s-min", "3", "--format", "json")
@@ -508,6 +528,17 @@ class TestConfigLayers:
                          "--r", "3", "--method", "census")
         assert code == EXIT_OK
         assert cache_path.exists()
+
+    def test_layers_file_env_flag(self, capsys, tmp_path, monkeypatch):
+        cfg = tmp_path / "rtlab.cfg"
+        cfg.write_text("cache = file.jsonl\nformat = json\n")
+        argv = ["thresholds", "--k", "4", "--s", "5", "--config", str(cfg)]
+        def cache(*more):
+            return json.loads(run(capsys, *argv, *more)[1])["config"]["cache"]
+
+        assert cache() == "file.jsonl"
+        monkeypatch.setenv("RTL_CACHE", "env.jsonl")
+        assert (cache(), cache("--cache", "flag.jsonl")) == ("env.jsonl", "flag.jsonl")
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

@@ -123,6 +123,10 @@ class TestFloor:
         assert pp_floor(pp((8, Fr(4, 3)))) == 16 and pp_is_integer(pp((8, Fr(4, 3))))
         assert pp_floor(pp((12, Fr(1, 2)), (3, Fr(1, 2)))) == 6
         assert not pp_is_integer(pp((12, Fr(1, 2)), (2, Fr(1, 2))))   # 24^(1/2)
+        assert pp_floor(pp((4, Fr(1, 3)))) == 1 and not pp_is_integer(pp((4, Fr(1, 3))))
+        assert pp_floor(pp((32, Fr(2, 5)))) == 4 and pp_is_integer(pp((32, Fr(2, 5))))
+        x = pp((27, Fr(2, 3)), (4, Fr(1, 2)))
+        assert pp_floor(x) == 18 and pp_is_integer(x)
 
     def test_value_below_one(self):
         assert pp_floor(pp((2, -1))) == 0

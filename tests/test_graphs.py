@@ -5,9 +5,9 @@ from itertools import combinations
 import pytest
 
 from rtlab.errors import ContractViolationError, ResourceLimitError
-from rtlab.graphs import (Graph, GraphFormatError, complete, complete_multipartite,
-                          k_cliques, max_lpartite, parse_graph6, read_graph6_file,
-                          turan_graph, write_graph6)
+from rtlab.graphs import (MASK_BITS, Graph, GraphFormatError, complete,
+                          complete_multipartite, k_cliques, max_lpartite, parse_graph6,
+                          read_graph6_file, turan_graph, write_graph6)
 from rtlab.thresholds import turan_ex
 
 
@@ -174,8 +174,10 @@ class TestCliques:
         assert k_cliques(complete(3), 5) == []
 
     def test_mask_cap(self):
-        with pytest.raises(ResourceLimitError):
-            k_cliques(complete(5), 3, mask_bits=8)
+        assert complete(17).m > MASK_BITS
+        with pytest.raises(ResourceLimitError, match="capped at"):
+            k_cliques(complete(17), 3)
+        assert k_cliques(turan_graph(20, 4), 4) == []   # 133 edges, but no K4
 
 
 class TestMaxLPartite:
