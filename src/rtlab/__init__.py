@@ -6,12 +6,12 @@ __version__ = "0.1.0"
 from .exactnum import PowerProduct, pp_floor
 from .graphs import Graph, complete, complete_multipartite, parse_graph6, turan_graph, \
     write_graph6
-from .thresholds import emit_tables, r0, r1, threshold_report, turan_ex
+from .thresholds import threshold_report, turan_ex
 
 __all__ = [
     "__version__",
     "PowerProduct", "pp_floor",
     "Graph", "complete", "complete_multipartite", "parse_graph6", "turan_graph",
     "write_graph6",
-    "emit_tables", "r0", "r1", "threshold_report", "turan_ex",
+    "threshold_report", "turan_ex",
 ]

@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import time
+from math import comb
 from typing import NamedTuple
 
 from . import __version__, census, lpverify, propcheck, thresholds
@@ -160,13 +161,16 @@ def _md_grid(columns, rows) -> list[str]:
 
 def _threshold_table(args) -> _Output:
     """The r0 and r1 grids (r1 from s = 3), CSV rows and JSON cells, in one
-    pass over the cells."""
-    table = thresholds.emit_tables(args.k, args.s)
+    pass over the cells with 2 <= s <= C(k, 2)."""
+    if args.k[0] < 4:
+        raise ContractViolationError(
+            f"k = {args.k[0]} is outside formula scope; tables start at k = 4")
+    s_values = args.s or range(2, comb(args.k[-1], 2) + 1)
     r0_rows, r1_rows, csv, cells = [], [], [_CELL_COLUMNS], []
-    for k in table.k_values:
+    for k in args.k:
         r0_row, r1_row = [str(k)], [str(k)]
-        for s in table.s_values:
-            rep = table.cells.get((k, s))
+        for s in s_values:
+            rep = thresholds.threshold_report(k, s) if 2 <= s <= comb(k, 2) else None
             mark = "" if rep is None else rep.marker
             r0_row.append("" if rep is None else f"{rep.r0}{mark}")
             if s >= 3:
@@ -176,8 +180,8 @@ def _threshold_table(args) -> _Output:
                 csv.append([cells[-1][c] for c in _CELL_COLUMNS])
         r0_rows.append(r0_row)
         r1_rows.append(r1_row)
-    md = (_md_grid(table.s_values, r0_rows) + [""]
-          + _md_grid([s for s in table.s_values if s >= 3], r1_rows))
+    md = (_md_grid(s_values, r0_rows) + [""]
+          + _md_grid([s for s in s_values if s >= 3], r1_rows))
     return _Output("thresholds table", {"cells": cells}, md, csv)
 
 
@@ -242,8 +246,11 @@ def _run_scan(args, cfg) -> _Output:
         else:
             tie = " (tie)" if row.tied else ""
             md.append(f"  #{row.rank}  {row.graph_id}  [{parts}]  {row.value}{tie}")
+        error = row.error
+        if error and ("," in error or '"' in error):
+            error = '"' + error.replace('"', '""') + '"'
         csv.append([row.rank, row.graph_id, f'"{parts}"', row.value, row.vs_turan,
-                    int(row.tied), row.error])
+                    int(row.tied), error])
     return _Output("scan", res.to_dict(), md, csv)
 
 

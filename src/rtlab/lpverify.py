@@ -27,7 +27,7 @@ from itertools import combinations
 
 from .errors import ContractViolationError
 from .exactnum import EQUAL, PowerProduct
-from .thresholds import Regime, bracket_terms, cap_A, cap_index, l_opt, l_param, regime_params, \
+from .thresholds import Regime, bracket_terms, cap_A, cap_index, l_param, regime_params, \
     telescoping_terms, witness_feasible
 
 VARIANT_LOW = "LOW"
@@ -99,7 +99,7 @@ def build_lp(k: int, s: int, p: int | None = None, j: int | None = None) -> Stab
             raise ContractViolationError(
                 f"s = {s} is in the LOW range, up to {params.s0}: its program takes no witness")
     elif (p, j) == (None, None):
-        _, (p, j) = l_opt(k, s)
+        p, j = params.l_opt_witness
     elif None in (p, j) or not witness_feasible(k, s, p, j):
         raise ContractViolationError(f"(p, j) = {(p, j)} is no witness for (k, s) = {(k, s)}")
     top = params.i_star if low else k - 2

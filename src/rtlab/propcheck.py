@@ -14,9 +14,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
-from .errors import ContractViolationError
-from .graphs import Graph, complete_multipartite, k_cliques, max_lpartite, turan_graph
-from .thresholds import r0, r1, turan_ex
+from .errors import ContractViolationError, ResourceLimitError
+from .graphs import DEFAULT_PARTITION_BUDGET, Graph, complete_multipartite, k_cliques, \
+    max_lpartite, turan_graph
+from .thresholds import threshold_report, turan_ex
 
 DEFAULT_SEED = 20260809
 
@@ -84,8 +85,12 @@ def check_lpartite_lemma(l_values=(2, 3, 4), n_max: int = 7,
     Exhaustive over isomorphism classes for n <= 7 (the bound is invariant
     under isomorphism); larger n up to n_max are covered by seeded random
     graphs.  m = 0 is vacuous by convention: the strict bound 0 > 0 has no
-    content there.
+    content there.  The corpus holds n_max-vertex graphs, so an n_max past
+    max_lpartite's vertex cap is refused before any work.
     """
+    if n_max > DEFAULT_PARTITION_BUDGET:
+        raise ResourceLimitError(f"exact partition search capped at "
+                                 f"{DEFAULT_PARTITION_BUDGET} vertices, got {n_max}")
     report = CheckReport("lpartite_lemma", seed=seed)
     corpus = [(g, "atlas") for g in atlas_graphs(n_max)]
     if n_max > 7:
@@ -320,7 +325,8 @@ def pairs_census(k_range=(4, 9), s_min: int = 3) -> list[tuple[int, int]]:
     out = []
     for k in range(lo, hi + 1):
         for s in range(s_min, comb(k, 2) + 1):
-            if r0(k, s) == r1(k, s) + 1:
+            rep = threshold_report(k, s)
+            if rep.r0 == rep.r1 + 1:
                 out.append((k, s))
     return out
 
@@ -361,7 +367,8 @@ def find_k0(s: int, k_max: int = 30) -> CheckReport:
     qualifying = []
     for k in tested:
         report.instances_tested += 1
-        if r0(k, s) == s and r1(k, s) == s - 1:
+        rep = threshold_report(k, s)
+        if rep.r0 == s and rep.r1 == s - 1:
             qualifying.append(k)
     tail_start = None
     for k in tested:

@@ -12,7 +12,7 @@ expressions as PowerProducts, and the thresholds themselves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import comb
@@ -88,33 +88,9 @@ def l_param(k: int, s: int, p: int, j: int) -> Fraction:
     return 1 + Fraction(2 * p * (k - 1), j * (p - 1))
 
 
-def i_star(k: int, s: int) -> int:
-    """Least i in [1, k-2] with A(k, k-i) >= s-2 (defined for s <= s0(k))."""
-    for i in range(1, k - 1):
-        if cap_A(k, k - i) >= s - 2:
-            return i
-    raise ContractViolationError(f"no witness i exists for (k, s) = {(k, s)}")
-
-
 def witness_feasible(k: int, s: int, p: int, j: int) -> bool:
     """Whether the pair (p, j) may witness the cell (k, s): b(k, p, j) <= C(k,2) - s + 2."""
     return b_param(k, p, j) <= comb(k, 2) - s + 2
-
-
-def p_star(k: int, s: int) -> int:
-    """Largest p in [2, k-1] whose (p, k-1) pair stays feasible at this s."""
-    feasible = [p for p in range(2, k) if witness_feasible(k, s, p, k - 1)]
-    if not feasible:
-        raise ContractViolationError(f"no witness p exists for (k, s) = {(k, s)}")
-    return feasible[-1]
-
-
-def j_star(k: int, s: int) -> int:
-    """Largest j in [1, k-1] whose (2, j) pair stays feasible at this s."""
-    feasible = [j for j in range(1, k) if witness_feasible(k, s, 2, j)]
-    if not feasible:
-        raise ContractViolationError(f"no witness j exists for (k, s) = {(k, s)}")
-    return feasible[-1]
 
 
 @dataclass(frozen=True)
@@ -130,17 +106,24 @@ class RegimeParams:
 
 
 def regime_params(k: int, s: int) -> RegimeParams:
-    """Regime split for (k, s) plus its witness: i* in LOW; p* and the pair
-    (p*, k-1) in MID, j* and (2, j*) in HIGH, with L_opt = l_param there."""
+    """Regime split for (k, s) plus its witness, with L_opt = l_param there.
+
+    LOW: i* is the least i in [1, k-2] with A(k, k-i) >= s-2; i = k-2 always
+    qualifies, as A(k, 2) = s0-2.  MID: p* is the largest p in [2, k-1] whose
+    (p, k-1) pair is feasible; (2, k-1) is feasible up to s1.  HIGH: j* is the
+    largest j in [1, k-1] whose (2, j) pair is feasible; (2, 1) is feasible up
+    to C(k, 2).
+    """
     _check_ks(k, s)
     lo, hi = s0(k), s1(k)
     if s <= lo:
-        return RegimeParams(lo, hi, Regime.LOW, i_star=i_star(k, s))
+        i = next(i for i in range(1, k - 1) if cap_A(k, k - i) >= s - 2)
+        return RegimeParams(lo, hi, Regime.LOW, i_star=i)
     if s <= hi:
-        p, j = p_star(k, s), k - 1
+        p, j = max(q for q in range(2, k) if witness_feasible(k, s, q, k - 1)), k - 1
         return RegimeParams(lo, hi, Regime.MID, p_star=p,
                             l_opt=l_param(k, s, p, j), l_opt_witness=(p, j))
-    p, j = 2, j_star(k, s)
+    p, j = 2, max(q for q in range(1, k) if witness_feasible(k, s, 2, q))
     return RegimeParams(lo, hi, Regime.HIGH, j_star=j,
                         l_opt=l_param(k, s, p, j), l_opt_witness=(p, j))
 
@@ -178,26 +161,14 @@ def r0_base(k: int, s: int) -> tuple[PowerProduct, RegimeParams]:
     return PowerProduct(bracket_terms(k, s, params.l_opt)), params
 
 
-def r0(k: int, s: int) -> int:
-    base, _ = r0_base(k, s)
-    return pp_floor(base) + 1
-
-
-def _r1_value(k: int, s: int) -> int:
-    # ceil((s-1)^((k-1)/(k-2)) - 1): the floor when the power is irrational,
-    # one less when it is an exact integer.  s = 2 gives 0 by the same rule.
+def r1(k: int, s: int) -> int:
+    """Color count at or below which the complete graph wins, for a cell
+    threshold_report accepts: ceil((s-1)^((k-1)/(k-2)) - 1), the floor when
+    the power is irrational, one less when it is an exact integer.  s = 2
+    gives 0 by the same rule; the report prints it blank, as r1 starts at 3."""
     x = PowerProduct(((s - 1, Fraction(k - 1, k - 2)),))
     f = pp_floor(x)
     return f - 1 if pp_is_integer(x) else f
-
-
-def r1(k: int, s: int) -> int:
-    """Color count at or below which the complete graph wins (3 <= s <= C(k,2))."""
-    if k < 4:
-        raise ContractViolationError(f"r1 needs k >= 4, got {k}")
-    if not 3 <= s <= comb(k, 2):
-        raise ContractViolationError(f"r1 needs 3 <= s <= C(k,2), got s = {s}")
-    return _r1_value(k, s)
 
 
 def l_opt(k: int, s: int) -> tuple[Fraction, tuple[int, int]]:
@@ -260,31 +231,7 @@ class ThresholdReport:
 
 
 def threshold_report(k: int, s: int) -> ThresholdReport:
+    """The one derivation of a cell: its regime and witness, the r0 base,
+    r0 = floor(base) + 1 and r1."""
     base, params = r0_base(k, s)
-    return ThresholdReport(k, s, params, base, r0=pp_floor(base) + 1, r1=_r1_value(k, s))
-
-
-# -- table emission -----------------------------------------------------------
-
-@dataclass
-class ThresholdTable:
-    k_values: tuple[int, ...]
-    s_values: tuple[int, ...]
-    cells: dict = field(default_factory=dict)  # (k, s) -> ThresholdReport
-
-
-def emit_tables(k_values, s_values=None) -> ThresholdTable:
-    """Grid of reports for each k in k_values and each populated s."""
-    k_values = tuple(k_values)
-    for k in k_values:
-        if k < 4:
-            raise ContractViolationError(
-                f"k = {k} is outside formula scope; tables start at k = 4")
-    max_s = max(comb(k, 2) for k in k_values)
-    s_values = tuple(s_values) if s_values is not None else tuple(range(2, max_s + 1))
-    table = ThresholdTable(k_values, s_values)
-    for k in k_values:
-        for s in s_values:
-            if 2 <= s <= comb(k, 2):
-                table.cells[(k, s)] = threshold_report(k, s)
-    return table
+    return ThresholdReport(k, s, params, base, r0=pp_floor(base) + 1, r1=r1(k, s))

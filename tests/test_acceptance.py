@@ -42,10 +42,10 @@ def test_criterion_1_table_r0():
     mismatches = []
     for k, row in TABLE1.items():
         for s, want in row.items():
-            got = th.r0(k, s)
+            got = th.threshold_report(k, s).r0
             if got != want:
                 mismatches.append((k, s, got, want))
-    v615 = th.r0(6, 15)
+    v615 = th.threshold_report(6, 15).r0
     band_ok = 135 * 10 ** 10 <= v615 <= 150 * 10 ** 10
     elapsed = time.perf_counter() - t0
     ok = not mismatches and band_ok and elapsed < 5.0
@@ -56,9 +56,10 @@ def test_criterion_1_table_r0():
 
 def test_criterion_2_table_r1():
     t0 = time.perf_counter()
-    mismatches = [(k, s, th.r1(k, s), want)
+    got = {(k, s): th.threshold_report(k, s).r1 for k, row in TABLE2.items() for s in row}
+    mismatches = [(k, s, got[k, s], want)
                   for k, row in TABLE2.items() for s, want in row.items()
-                  if th.r1(k, s) != want]
+                  if got[k, s] != want]
     elapsed = time.perf_counter() - t0
     ok = not mismatches and elapsed < 1.0
     _report(2, ok, f"r1 grid exact for k=4..6 ({sum(map(len, TABLE2.values()))} cells), "
@@ -66,11 +67,12 @@ def test_criterion_2_table_r1():
 
 
 def test_criterion_3_regime_markers():
-    table = th.emit_tables([4, 5, 6])
+    markers = {(k, s): th.threshold_report(k, s).marker
+               for k in (4, 5, 6) for s in range(2, comb(k, 2) + 1)}
     want_ast = {(4, 5), (5, 7), (6, 9)}
     want_star = {(6, 15)}
-    got_ast = {(k, s) for (k, s), rep in table.cells.items() if rep.marker == th.ASTERISK}
-    got_star = {(k, s) for (k, s), rep in table.cells.items() if rep.marker == th.STAR}
+    got_ast = {cell for cell, mark in markers.items() if mark == th.ASTERISK}
+    got_star = {cell for cell, mark in markers.items() if mark == th.STAR}
     ok = got_ast == want_ast and got_star == want_star
     _report(3, ok, f"asterisks {sorted(got_ast)} star {sorted(got_star)} "
                    f"from computed s0/s1")
@@ -188,8 +190,8 @@ def test_criterion_7_pair_census():
 
 
 def test_criterion_8_threshold_equals_s_at_3():
-    failures = [(k, th.r0(k, 3), th.r1(k, 3)) for k in range(4, 31)
-                if th.r0(k, 3) != 3 or th.r1(k, 3) != 2]
+    reports = [th.threshold_report(k, 3) for k in range(4, 31)]
+    failures = [(rep.k, rep.r0, rep.r1) for rep in reports if rep.r0 != 3 or rep.r1 != 2]
     rep = pc.find_k0(3, 30)
     ok = not failures and rep.passed
     _report(8, ok, f"r0(k,3)=3 and r1(k,3)=2 for every k in [4,30]; failures={failures}")

@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, formats, determinism, config layering."""
 
+import csv
 import json
 import os
 import shlex
@@ -422,10 +423,29 @@ class TestProps:
             propcheck.check_entropy = orig
         assert code == EXIT_CHECK_FAILED
 
+    def test_lpartite_past_the_partition_cap_exits_before_any_work(self, capsys):
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "props", "--check", "lpartite", "--n-max", "17")
+        assert time.perf_counter() - t0 < 5
+        assert code == EXIT_RESOURCE and out == ""
+        assert "exact partition search capped at 16 vertices, got 17" in err
+
 
 class TestFiles:
     SCAN = ("scan", "--n", "3", "--k", "3", "--s", "2", "--r", "2")
     COUNT = ("count", "--k", "3", "--s", "2", "--r", "2")
+
+    def test_scan_csv_error_field_is_one_column(self, capsys, tmp_path):
+        # a graph of the wrong size gets a row whose error text holds a comma
+        path = tmp_path / "g.g6"
+        path.write_text("Bw\nC~\n")
+        code, out, _ = run(capsys, "scan", "--n", "4", "--k", "3", "--s", "3", "--r", "3",
+                           "--file", str(path), "--format", "csv")
+        assert code == EXIT_OK
+        rows = list(csv.reader(out.splitlines()[2:]))
+        assert rows[0] == "rank,graph6,parts,value,vs_turan,tied,error".split(",")
+        assert [len(row) for row in rows] == [7, 7, 7]
+        assert rows[2][1] == "Bw" and rows[2][6] == "graph has 3 vertices, scan is for n = 4"
 
     @pytest.mark.parametrize("command", [COUNT, SCAN])
     def test_missing_graph6_file_usage(self, capsys, tmp_path, command):

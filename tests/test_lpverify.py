@@ -70,8 +70,8 @@ class TestBuild:
         with pytest.raises(ContractViolationError):
             lpv.build_lp(4, 5, p=2)          # half a witness
         # no witness: the L_opt witness
-        lp = lpv.build_lp(4, 5)
-        assert (lp.p, lp.j) == th.l_opt(4, 5)[1] and lp.free_cap == th.l_opt(4, 5)[0]
+        lp, params = lpv.build_lp(4, 5), th.regime_params(4, 5)
+        assert (lp.p, lp.j) == params.l_opt_witness and lp.free_cap == params.l_opt
         for k, s in [(3, 2), (4, 1), (4, 7)]:
             with pytest.raises(ContractViolationError):
                 lpv.build_lp(k, s)
@@ -160,7 +160,7 @@ class TestCertify:
         for k in range(4, 17):
             for s in range(3, th.s0(k) + 1):
                 cert = _certify(k, s)
-                i = th.i_star(k, s)
+                i = th.regime_params(k, s).i_star
                 assert cert.support_sum_actual == Fr(k - i, k - i - 1)
                 assert cert.support_sum_matches == (i == k - 2)
 

@@ -105,18 +105,18 @@ class TestBandL:
 
 class TestR0:
     def test_examples(self):
-        assert th.r0(4, 3) == 3
-        assert th.r0(4, 5) == 222
-        assert th.r0(6, 10) == 3528
-        assert th.r0(5, 8) == 3270
+        assert th.threshold_report(4, 3).r0 == 3
+        assert th.threshold_report(4, 5).r0 == 222
+        assert th.threshold_report(6, 10).r0 == 3528
+        assert th.threshold_report(5, 8).r0 == 3270
 
     def test_s2_column(self):
         for k in range(4, 13):
-            assert th.r0(k, 2) == 2
+            assert th.threshold_report(k, 2).r0 == 2
 
     def test_k3_rejected(self):
         with pytest.raises(ContractViolationError):
-            th.r0(3, 2)
+            th.threshold_report(3, 2)
         assert th.PRIOR_WORK_R0_K3 == {(3, 2): 2, (3, 3): 4}
 
     def test_low_base_structure(self):
@@ -144,27 +144,32 @@ class TestR0:
                                  for b, e in base.factors)
             floor = int(mpmath.floor(value))
             assert min(value - floor, floor + 1 - value) > mpmath.mpf(2) ** -400
-        assert th.r0(k, s) == floor + 1
+        assert th.threshold_report(k, s).r0 == floor + 1
 
 
 class TestR1:
     def test_examples(self):
-        assert th.r1(4, 4) == 5
-        assert th.r1(6, 15) == 27
-        assert th.r1(5, 10) == 18
+        assert th.threshold_report(4, 4).r1 == 5
+        assert th.threshold_report(6, 15).r1 == 27
+        assert th.threshold_report(5, 10).r1 == 18
 
     def test_integer_power_cases(self):
-        assert th.r1(4, 5) == 7    # 4^(3/2) = 8 exactly
-        assert th.r1(5, 9) == 15   # 8^(4/3) = 16 exactly
+        assert th.threshold_report(4, 5).r1 == 7    # 4^(3/2) = 8 exactly
+        assert th.threshold_report(5, 9).r1 == 15   # 8^(4/3) = 16 exactly
 
     def test_below_r0_everywhere(self):
         for k in range(4, 21):
             for s in range(3, comb(k, 2) + 1):
-                assert th.r1(k, s) < th.r0(k, s)
+                rep = th.threshold_report(k, s)
+                assert rep.r1 < rep.r0
 
     def test_domain(self):
-        with pytest.raises(ContractViolationError):
-            th.r1(4, 2)
+        # r1 starts at s = 3: the report leaves it blank at s = 2, and a
+        # cell outside 2 <= s <= C(k, 2) has no report
+        assert th.threshold_report(4, 2).to_dict()["r1"] == ""
+        for k, s in [(4, 1), (4, 7), (3, 3)]:
+            with pytest.raises(ContractViolationError):
+                th.threshold_report(k, s)
 
 
 def _l_opt_scan(k, s):
@@ -222,7 +227,7 @@ class TestLOpt:
                 if s <= th.s1(k):
                     assert j == k - 1
                     assert 3 < val <= 5
-                    assert val == th.l_param(k, s, th.p_star(k, s), k - 1)
+                    assert val == th.l_param(k, s, th.regime_params(k, s).p_star, k - 1)
                 else:
                     assert val == 1 + Fr(4 * (k - 1), comb(k, 2) - s + 2)
                     assert val > 9
@@ -243,7 +248,8 @@ class TestReportAndTables:
         assert d["r0"] == "222" and d["regime"] == "MID"
 
     def test_exactly_one_witness_field(self):
-        for k in range(4, 9):
+        # every search in regime_params finds its witness
+        for k in range(4, 31):
             for s in range(2, comb(k, 2) + 1):
                 rep = th.threshold_report(k, s)
                 p = rep.params
@@ -251,21 +257,21 @@ class TestReportAndTables:
                 assert len(populated) == 1
 
     def test_row_k4(self):
-        table = th.emit_tables([4])
-        assert [table.cells[(4, s)].r0 for s in range(2, 7)] == [2, 3, 8, 222, 5434]
+        assert [th.threshold_report(4, s).r0 for s in range(2, 7)] == [2, 3, 8, 222, 5434]
 
     def test_row_k5_r1(self):
-        table = th.emit_tables([5])
-        assert [table.cells[(5, s)].r1 for s in range(3, 11)] == [2, 4, 6, 8, 10, 13, 15, 18]
+        assert [th.threshold_report(5, s).r1 for s in range(3, 11)] == \
+            [2, 4, 6, 8, 10, 13, 15, 18]
 
     def test_markers(self):
-        cells = th.emit_tables([4, 5, 6]).cells
-        assert cells[(4, 5)].marker == th.ASTERISK
-        assert cells[(5, 7)].marker == th.ASTERISK
-        assert cells[(6, 9)].marker == th.ASTERISK
-        assert cells[(6, 15)].marker == th.STAR
-        assert cells[(4, 4)].marker == ""
-        assert cells[(5, 8)].marker == ""
+        def marker(k, s):
+            return th.threshold_report(k, s).marker
+        assert marker(4, 5) == th.ASTERISK
+        assert marker(5, 7) == th.ASTERISK
+        assert marker(6, 9) == th.ASTERISK
+        assert marker(6, 15) == th.STAR
+        assert marker(4, 4) == ""
+        assert marker(5, 8) == ""
 
     def test_serializations(self, capsys):
         # the table's md, csv and json forms are rendered by the CLI
@@ -283,6 +289,6 @@ class TestReportAndTables:
         # s = 2 has no r1 column entry
         assert "4,2,2,,LOW" in csv
 
-    def test_k3_row_rejected(self):
-        with pytest.raises(ContractViolationError):
-            th.emit_tables([3, 4])
+    def test_k3_row_rejected(self, capsys):
+        assert cli.main(["thresholds", "table", "--k", "3..4"]) == cli.EXIT_CONTRACT
+        assert capsys.readouterr().out == ""

@@ -8,15 +8,18 @@ OLD_SRC and NEW_SRC are the ``src`` directories of two checkouts.  Every
 ``thresholds``, ``lp`` and ``count`` operation of the benchmark
 (perfbench/workloads.py: thresholds-grid, lp-certify and census-scan), plus
 the two census-scan scans run whole as ``scan ... --threads 2 --format json``,
-``thresholds table --k 15..30 --format json``, and every ``lp`` cell with
-k <= 30 the benchmark leaves out (LOW k >= 9, MID_HIGH k >= 7), 4,933 ops in
-all, runs through ``rtlab.cli.main`` once per tree, each tree in its own
+``thresholds table --k 15..30 --format json``, every ``lp`` cell with
+k <= 30 the benchmark leaves out (LOW k >= 9, MID_HIGH k >= 7),
+``pairs --k 4..9 --s-min 3 --format json`` and
+``findk0 --s S --k-max 30 --format json`` for S = 3..12, 4,944 ops in all,
+runs through ``rtlab.cli.main`` once per tree, each tree in its own
 interpreter.
 The script prints the exit codes that changed and the operations whose
-stdout differs where both trees exited 0, each with the top-level keys of
-its JSON ``result`` and ``config`` that differ, and exits 1 when any stdout
+stdout differs where both trees exited with the same code, each with the
+top-level keys of its JSON ``result`` and ``config`` that differ, and exits 1 when any stdout
 differs or any exit code changed.  On stderr it prints each tree's total
-seconds per command (``thresholds``, ``lp``, ``count`` and ``scan``), so one
+seconds per command (``thresholds``, ``lp``, ``count``, ``scan``, ``pairs`` and
+``findk0``), so one
 run gives both the byte check and the before/after time.
 
 Each ``--drop-key KEY`` removes a key before hashing, so outputs can be
@@ -87,6 +90,10 @@ def dump(src: str, drop: list[str]) -> dict:
              ["lp", "--k", str(k), "--s", str(s), "--variant", "mid-high", "--format", "json"])
             for k in range(workloads.LP_MID_HIGH_K.stop, K_MAX + 1)
             for s in range(workloads.s0(k) + 1, k * (k - 1) // 2 + 1)]
+    ops += [("pairs:4..9:3", "cli", ["pairs", "--k", "4..9", "--s-min", "3", "--format", "json"])]
+    ops += [(f"findk0:{s}:{K_MAX}", "cli",
+             ["findk0", "--s", str(s), "--k-max", str(K_MAX), "--format", "json"])
+            for s in range(3, 13)]
     out, seconds = {}, defaultdict(float)
     for op_id, _, argv in ops:
         buf = io.StringIO()
@@ -95,7 +102,7 @@ def dump(src: str, drop: list[str]) -> dict:
             rc = cli.main(argv)
         seconds[argv[0]] += time.perf_counter() - start
         text, keys = buf.getvalue(), {}
-        if rc == 0:
+        if text:    # exit 0 or 4 (a failed check) writes the JSON document
             obj = _without(json.loads(text), drop)
             keys = _key_digests(obj)
             if drop:
@@ -131,11 +138,13 @@ def main() -> int:
         print(f"seconds per command in {tree}: {times}", file=sys.stderr)
     old, new = old["ops"], new["ops"]
     changed_rc = Counter((old[k][0], new[k][0]) for k in old if old[k][0] != new[k][0])
-    differ = sorted(k for k in old if old[k][0] == new[k][0] == 0 and old[k][1] != new[k][1])
+    differ = sorted(k for k in old if old[k][0] == new[k][0] and old[k][1] != new[k][1])
     both_ok = sum(old[k][0] == new[k][0] == 0 for k in old)
+    same_other = sum(old[k][0] == new[k][0] != 0 for k in old)
     for (a, b), n in sorted(changed_rc.items()):
         print(f"exit {a} -> {b}: {n} ops")
-    print(f"{both_ok} ops exit 0 in both trees; stdout differs in {len(differ)}")
+    print(f"{both_ok} ops exit 0 in both trees, {same_other} exit with the same other code; "
+          f"stdout differs in {len(differ)}")
     for k in differ:
         a, b = old[k][2], new[k][2]
         keys = sorted(key for key in a.keys() | b.keys() if a.get(key) != b.get(key))
