@@ -189,7 +189,7 @@ def count_brute(g: Graph, k: int, s: int, r: int,
 # the same edge order, without visiting its nodes.  Every edge order gives the
 # same leaves per block count, since RGS in any order are the set partitions of
 # the edges, but not the same number of DP states: build_census chooses the
-# order per graph (see _race).
+# order per graph (see _run).
 #
 # A clique is open at depth e when its first edge comes before e and its last
 # edge at or after e.  Later edges see the labels so far only through the label
@@ -229,7 +229,8 @@ class _Plan:
              the fields of each group of open cliques with identical
              remaining edges.
     reads, pairs and swaps are empty on the edges past the _PLAN_RULES loop
-    steps, and every mask is empty on an edge that no open clique holds.
+    steps or built after _run sets spare to 0, and every mask is empty on an
+    edge that no open clique holds.
     """
 
     def __init__(self, masks: list[int], m: int, s: int, t_max: int):
@@ -303,18 +304,15 @@ class _Plan:
             free.append(slot.pop(c))
 
 
-def _layer(plan: _Plan, frontier: dict, e: int, rules: bool = True, room: int = 0) -> dict:
+def _layer(plan: _Plan, frontier: dict, e: int, room: int = 0) -> dict:
     """Label edge e in every state of frontier (a dict that is consumed) and
-    return the frontier at depth e + 1.  With rules false it skips the pair
-    and group rules.
+    return the frontier at depth e + 1.
 
     A child's canonical body and block count depend only on its body after
     the short drops, and moves from different states often reach the same
     one, so the layer remembers the canonical form of up to room of them.
     """
     hit, born, keep, short, reads, pairs, swaps = plan.step(e)
-    if not rules:
-        pairs = swaps = ()
     ones, t_max = plan.ones, plan.width
     nbits = t_max.bit_length()
     low = (1 << nbits) - 1
@@ -390,48 +388,6 @@ def _layer(plan: _Plan, frontier: dict, e: int, rules: bool = True, room: int = 
     return nxt
 
 
-def _count(plan: _Plan, frontier: dict, depth: int, node_budget: int,
-           nodes: int) -> tuple[list[int], int]:
-    """Coefficients a_0..a_{t_max} of the leaves below frontier, a dict of
-    states at depth, and nodes plus the states expanded on the way, raising
-    ResourceLimitError before that total would pass node_budget.
-
-    The states held at once, in the frontier and in slices waiting their
-    turn, are kept to about _FRONTIER_BYTES of keys: a frontier above its
-    share is dealt into two halves, counted one after the other.  Slices add
-    exactly, and the node total still only grows, so each layer's check
-    gives the budget decision.  The pair and group rules only serve merges,
-    which slices lose between them, so the layers after the first split
-    skip them and remember no canonical forms.  A whole layer remembers
-    canonical forms in the room its frontier leaves under the bound.
-    """
-    m, t_max = plan.m, plan.width
-    most = 8 * _FRONTIER_BYTES // plan.key_bits
-    low = (1 << t_max.bit_length()) - 1
-    coeffs = [0] * (t_max + 1)
-    pending, waiting, whole = [(depth, frontier)], len(frontier), True
-    while pending:
-        depth, frontier = pending.pop()
-        waiting -= len(frontier)
-        while depth < m and len(frontier) <= max(2, most - waiting):
-            nodes += len(frontier)
-            if nodes > node_budget:   # checked before the work, so it is never done
-                raise ResourceLimitError(f"census node budget {node_budget} exceeded")
-            frontier = _layer(plan, frontier, depth, whole, most - len(frontier) if whole else 0)
-            depth += 1
-        if depth < m:
-            whole = False
-            items = list(frontier.items())
-            del frontier
-            half = len(items) // 2
-            pending += [(depth, dict(items[half:])), (depth, dict(items[:half]))]
-            waiting += len(items)
-            continue
-        for key, w in frontier.items():
-            coeffs[key & low] += w
-    return coeffs, nodes
-
-
 # -- choice of the edge order ----------------------------------------------------
 #
 # No fixed order suits every graph.  On K7 at (k, s) = (4, 4) the lexicographic
@@ -439,11 +395,6 @@ def _count(plan: _Plan, frontier: dict, depth: int, node_budget: int,
 # by its 16th layer; on K_{3,1,1,1,1} the clique-by-clique order expands 2,199
 # and the lexicographic one more than 150,000.  So a few candidate orders race
 # through their first layers, and the race itself is the predictor.
-
-def _vertex_order(g: Graph, rank: list[int]) -> list[int]:
-    """Edge indices in the lexicographic order of g relabelled by rank."""
-    return sorted(range(g.m), key=lambda i: sorted(rank[v] for v in g.edges[i]))
-
 
 def _clique_order(m: int, masks: list[int]) -> list[int]:
     """Edge indices clique by clique: each time the clique with the fewest edges
@@ -462,7 +413,8 @@ def _candidate_masks(g: Graph, masks: list[int]) -> list[list[int]]:
     """The clique masks in each distinct candidate order, the given order first:
     the given and the reversed vertex labelling in lexicographic order, and the
     clique-by-clique order."""
-    orders = (_vertex_order(g, list(range(g.n - 1, -1, -1))), _clique_order(g.m, masks))
+    orders = (sorted(range(g.m), key=lambda i: (-g.edges[i][1], -g.edges[i][0])),
+              _clique_order(g.m, masks))
     out, seen = [masks], {tuple(sorted(masks))}
     for order in orders:
         pos = [0] * g.m
@@ -478,32 +430,48 @@ def _candidate_masks(g: Graph, masks: list[int]) -> list[list[int]]:
     return out
 
 
-def _race(plans: list, node_budget: int):
-    """Run the candidate plans layer by layer in step and keep one; returns
-    (plan, its frontier, depth, states expanded by all of them).
+def _run(plans: list, node_budget: int) -> tuple[list[int], int]:
+    """Coefficients a_0..a_{t_max} of the census, counted over the candidate
+    plans, and the states expanded over every plan, layer and slice, raising
+    ResourceLimitError before that total would pass node_budget.
 
-    After each layer a plan drops out when its frontier holds more than
-    _RACE_SPREAD times the states of the smallest, or when it holds more
-    states than the smallest and grew over the layer by more than
-    _RACE_SPREAD and by more than _RACE_GROWTH times the smallest's growth:
-    an order may trail early and win late (K7 in the given order), but on
-    the graphs measured none that outgrew the smallest so went on to win.
-    The race stops when one plan is left, when they finish, or when their
-    frontiers together hold more than _FRONTIER_BYTES of keys; the smallest
-    frontier then wins, the earliest plan on ties.  Every state counts
-    against node_budget.  A layer remembers canonical forms in the room the
-    frontiers leave under the bound.
+    The plans first race layer by layer in step.  After each layer a plan
+    drops out when its frontier holds more than _RACE_SPREAD times the states
+    of the smallest, or when it holds more states than the smallest and grew
+    over the layer by more than _RACE_SPREAD and by more than _RACE_GROWTH
+    times the smallest's growth: an order may trail early and win late (K7 in
+    the given order), but on the graphs measured none that outgrew the
+    smallest so went on to win.  The race stops when one plan is left, when
+    they finish, or when their frontiers together hold more than
+    _FRONTIER_BYTES of keys; the smallest frontier then wins, the earliest
+    plan on ties, and is counted to the end.
+
+    The states held at once, in the frontier and in slices waiting their
+    turn, are kept to about _FRONTIER_BYTES of keys: a frontier above its
+    share is dealt into two halves, counted one after the other.  Slices add
+    exactly, and the node total only grows, so each layer's check gives the
+    budget decision.  The pair and group rules only serve merges, which
+    slices lose between them, so at the first split the plan stops building
+    them, and the layers after it remember no canonical forms.  A whole
+    layer remembers canonical forms in the room its frontiers leave under
+    the bound.
     """
+    nodes = 0
+
+    def spend(states: int):   # before the work, so work past the budget is never done
+        nonlocal nodes
+        nodes += states
+        if nodes > node_budget:
+            raise ResourceLimitError(f"census node budget {node_budget} exceeded")
+
     racers = [(plan, 1, {0: 1}) for plan in plans]   # (plan, states before the layer, frontier)
-    m, depth, nodes = plans[0].m, 0, 0
+    m, depth = plans[0].m, 0
     while len(racers) > 1 and depth < m:
         headroom = 8 * _FRONTIER_BYTES - sum(len(fr) * plan.key_bits for plan, _, fr in racers)
         if headroom < 0:
             break
-        nodes += sum(len(fr) for _, _, fr in racers)
-        if nodes > node_budget:
-            raise ResourceLimitError(f"census node budget {node_budget} exceeded")
-        racers = [(plan, len(fr), _layer(plan, fr, depth, True, headroom // plan.key_bits))
+        spend(sum(len(fr) for _, _, fr in racers))
+        racers = [(plan, len(fr), _layer(plan, fr, depth, headroom // plan.key_bits))
                   for plan, _, fr in racers]
         depth += 1
         _, was, least = min(racers, key=lambda racer: len(racer[2]))
@@ -512,7 +480,29 @@ def _race(plans: list, node_budget: int):
                   and not (len(fr) > len(least) and len(fr) > _RACE_SPREAD * before
                            and len(fr) * was > _RACE_GROWTH * len(least) * before)]
     plan, _, frontier = min(racers, key=lambda racer: len(racer[2]))
-    return plan, frontier, depth, nodes
+    del racers   # frees the losers' frontiers before the winner is counted
+    most = 8 * _FRONTIER_BYTES // plan.key_bits
+    low = (1 << plan.width.bit_length()) - 1
+    coeffs = [0] * (plan.width + 1)
+    pending, waiting, whole = [(depth, frontier)], len(frontier), True
+    while pending:
+        depth, frontier = pending.pop()
+        waiting -= len(frontier)
+        while depth < m and len(frontier) <= max(2, most - waiting):
+            spend(len(frontier))
+            frontier = _layer(plan, frontier, depth, most - len(frontier) if whole else 0)
+            depth += 1
+        if depth < m:
+            whole, plan.spare = False, 0   # the steps not yet built get no rules
+            items = list(frontier.items())
+            del frontier
+            half = len(items) // 2
+            pending += [(depth, dict(items[half:])), (depth, dict(items[:half]))]
+            waiting += len(items)
+            continue
+        for key, w in frontier.items():
+            coeffs[key & low] += w
+    return coeffs, nodes
 
 
 def build_census(g: Graph, k: int, s: int, t_max: int | None = None,
@@ -536,9 +526,7 @@ def build_census(g: Graph, k: int, s: int, t_max: int | None = None,
         masks = [mask for _, mask in k_cliques(g, k)]
     # a census of few edges is over before another order could pay for its race
     candidates = _candidate_masks(g, masks) if m > _RACE_MIN_EDGES else [masks]
-    plan, frontier, depth, nodes = _race([_Plan(c, m, s, t_max) for c in candidates],
-                                         node_budget)
-    coeffs, nodes = _count(plan, frontier, depth, node_budget, nodes)
+    coeffs, nodes = _run([_Plan(c, m, s, t_max) for c in candidates], node_budget)
     return CensusPolynomial(k=k, s=s, graph_id=g.graph6, t_max=t_max,
                             coefficients={t: a for t, a in enumerate(coeffs) if a}, m=m,
                             nodes_visited=nodes)

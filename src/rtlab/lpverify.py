@@ -113,7 +113,7 @@ def build_lp(k: int, s: int, p: int | None = None, j: int | None = None) -> Stab
     return StabilityLP(k, s, VARIANT_MID_HIGH, rows,
                        variables=tuple(range(2, s)),
                        include_e1=False,
-                       free_cap=l_param(k, s, p, j),
+                       free_cap=l_param(k, p, j),
                        free_range=(2, cap_index(k, s)),
                        p=p, j=j)
 

@@ -81,7 +81,7 @@ def b_param(k: int, p: int, j: int) -> int:
     return min(j * comb(p, 2), full * comb(p, 2) + comb(k - full * p, 2))
 
 
-def l_param(k: int, s: int, p: int, j: int) -> Fraction:
+def l_param(k: int, p: int, j: int) -> Fraction:
     """Exponent weight 1 + 2p(k-1)/(j(p-1)) attached to the (p, j) witness."""
     if not 2 <= p <= k - 1 or not 1 <= j <= k - 1:
         raise ContractViolationError(f"l_param needs 2 <= p <= k-1, 1 <= j <= k-1, got {(k, p, j)}")
@@ -122,10 +122,10 @@ def regime_params(k: int, s: int) -> RegimeParams:
     if s <= hi:
         p, j = max(q for q in range(2, k) if witness_feasible(k, s, q, k - 1)), k - 1
         return RegimeParams(lo, hi, Regime.MID, p_star=p,
-                            l_opt=l_param(k, s, p, j), l_opt_witness=(p, j))
+                            l_opt=l_param(k, p, j), l_opt_witness=(p, j))
     p, j = 2, max(q for q in range(1, k) if witness_feasible(k, s, 2, q))
     return RegimeParams(lo, hi, Regime.HIGH, j_star=j,
-                        l_opt=l_param(k, s, p, j), l_opt_witness=(p, j))
+                        l_opt=l_param(k, p, j), l_opt_witness=(p, j))
 
 
 def telescoping_terms(k: int, s: int, upto_i: int) -> list[tuple[int, Fraction]]:

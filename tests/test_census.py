@@ -162,11 +162,11 @@ def _layers_run(monkeypatch, room=None):
     forms instead."""
     runs = {}   # id(plan) -> [plan, last edge, rooms offered]
 
-    def recorded(plan, frontier, e, rules, offered):
+    def recorded(plan, frontier, e, offered):
         run = runs.setdefault(id(plan), [plan, e, []])
         run[1] = e
         run[2].append(offered)
-        return _LAYER(plan, frontier, e, rules, offered if room is None else room)
+        return _LAYER(plan, frontier, e, offered if room is None else room)
 
     monkeypatch.setattr(census, "_layer", recorded)
     return runs
@@ -301,6 +301,41 @@ class TestWalkOracle:
                                (complete_multipartite([2, 2, 1]), 3, 2, 8),
                                (complete_multipartite([3, 1, 1, 1]), 4, 4, 5)):
             _same_as_walk(g, k, s, t_max)
+
+    @pytest.mark.parametrize("parts, k, s, t_max, bound, raced, states", [
+        ((3, 2, 1), 3, 3, 6, 64, 3, 134), ((3, 1, 1, 1), 4, 4, 5, 32, 5, 147)])
+    def test_race_then_slices(self, monkeypatch, parts, k, s, t_max, bound, raced, states):
+        # the orders race through their first layers with room to remember
+        # canonical forms, then the winner's frontier is split and its later
+        # layers get none
+        monkeypatch.setattr(census, "_FRONTIER_BYTES", bound)
+        g = complete_multipartite(parts)
+        runs = _layers_run(monkeypatch)
+        assert build_census(g, k, s, t_max=t_max).nodes_visited == states
+        assert len(runs) > 1
+        rooms = max((offered for _, _, offered in runs.values()), key=len)
+        assert min(rooms[:raced]) > 0 and 0 in rooms[raced:]
+        _same_as_walk(g, k, s, t_max)
+
+    def test_no_rules_after_the_first_split(self, monkeypatch):
+        # the steps a plan builds once its frontier is split carry no pair or
+        # group rules; counted whole, the same order has them past that depth
+        g = complete_multipartite((3, 2, 1))
+        winners = []
+        for bound in (census._FRONTIER_BYTES, 64):
+            monkeypatch.setattr(census, "_FRONTIER_BYTES", bound)
+            runs = _layers_run(monkeypatch)
+            build_census(g, 3, 3, t_max=6)
+            winners.append(max(runs.values(), key=lambda run: len(run[2])))
+        (whole, _, _), (sliced, _, rooms) = winners
+        assert whole.masks == sliced.masks
+        split = rooms.index(0)
+        assert split == 7
+
+        def ruled(plan):
+            return [e for e, step in enumerate(plan.steps) if e >= split and (step[5] or step[6])]
+
+        assert ruled(whole) and not ruled(sliced)
 
     @pytest.mark.parametrize("spare", [0, 60])
     def test_plan_rules_cut_short(self, monkeypatch, spare):

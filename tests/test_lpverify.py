@@ -55,7 +55,7 @@ class TestBuild:
         lp = lpv.build_lp(6, 9, p=4, j=5)
         assert lp.variant == lpv.VARIANT_MID_HIGH
         assert len(lp.rows) == 4
-        assert lp.free_cap == th.l_param(6, 9, 4, 5)
+        assert lp.free_cap == th.l_param(6, 4, 5)
         assert lp.free_range == (2, 9 - th.cap_A(6, 2) - 1)
         assert lp.variables == tuple(range(2, 9))
 
@@ -105,7 +105,7 @@ class TestClaimedSolution:
         # beyond s0 the point carries the cap of the program's witness pair:
         # by default the L_opt pair, and half a pair is refused
         assert _claimed(4, 5) == _claimed(4, 5, 3, 3)
-        assert _claimed(4, 5, 2, 3)[2] == th.l_param(4, 5, 2, 3)
+        assert _claimed(4, 5, 2, 3)[2] == th.l_param(4, 2, 3)
         with pytest.raises(ContractViolationError):
             _claimed(4, 5, 2)
 
@@ -419,7 +419,7 @@ def _at_s0(k, p, j):
     """A MID_HIGH program moved to s = s0, the LOW cell whose head base is 1,
     with the cap weight of (p, j): the case bases read only k, s and the cap."""
     s = th.s0(k)
-    return replace(lpv.build_lp(k, s + 1), s=s, free_cap=th.l_param(k, s, p, j), p=p, j=j)
+    return replace(lpv.build_lp(k, s + 1), s=s, free_cap=th.l_param(k, p, j), p=p, j=j)
 
 
 class TestCaseBases:

@@ -99,8 +99,8 @@ class TestBandL:
         assert th.b_param(6, 4, 5) == 7
 
     def test_l_examples(self):
-        assert th.l_param(4, 5, 3, 3) == 4
-        assert th.l_param(6, 15, 2, 2) == 11
+        assert th.l_param(4, 3, 3) == 4
+        assert th.l_param(6, 2, 2) == 11
 
 
 class TestR0:
@@ -180,7 +180,7 @@ def _l_opt_scan(k, s):
     for p in range(2, k):
         for j in range(1, k):
             if th.b_param(k, p, j) <= bound:
-                key = (th.l_param(k, s, p, j), -j, -p)
+                key = (th.l_param(k, p, j), -j, -p)
                 best = key if best is None or key < best else best
     return best[0], (-best[2], -best[1])
 
@@ -227,7 +227,7 @@ class TestLOpt:
                 if s <= th.s1(k):
                     assert j == k - 1
                     assert 3 < val <= 5
-                    assert val == th.l_param(k, s, th.regime_params(k, s).p_star, k - 1)
+                    assert val == th.l_param(k, th.regime_params(k, s).p_star, k - 1)
                 else:
                     assert val == 1 + Fr(4 * (k - 1), comb(k, 2) - s + 2)
                     assert val > 9
