@@ -39,12 +39,13 @@ from .graphs import Graph, complete, complete_multipartite, k_cliques, parse_gra
 from .thresholds import turan_ex
 
 DEFAULT_COLORING_BUDGET = 10 ** 8
-#: DP states a census may expand: K7 at (k, s) = (4, 4) needs 343,425, and at
-#: this budget K8..K11 at (4, 4), (3, 3) and (4, 3) stop after 17-21 s, K12 at
-#: (5, 4) after 47 s (2-CPU Intel Xeon VM)
+#: DP states a census may expand: K7 at (k, s) = (4, 4) needs 343,425.  K8..K11
+#: at (4, 4) and (3, 3), K10 and K11 at (4, 3) and K12 at (5, 4) stop on their
+#: frontier bound before this budget, after 0.4-5.4 s (2-CPU Intel Xeon VM)
 DEFAULT_NODE_BUDGET = 10 ** 6
-#: bytes of state keys a census frontier may hold; a larger frontier is counted
-#: in slices, so memory stays bounded at any node budget
+#: bytes of state keys a census frontier may hold; a census whose frontier
+#: outgrows them stops, as it does on its node budget, so memory stays bounded
+#: at any node budget
 _FRONTIER_BYTES = 1 << 23
 #: loop steps a census plan may spend on its pair and group rules; an edge whose
 #: rules would pass what is left gets none, so planning stays cheap when
@@ -229,8 +230,7 @@ class _Plan:
              the fields of each group of open cliques with identical
              remaining edges.
     reads, pairs and swaps are empty on the edges past the _PLAN_RULES loop
-    steps or built after _run sets spare to 0, and every mask is empty on an
-    edge that no open clique holds.
+    steps, and every mask is empty on an edge that no open clique holds.
     """
 
     def __init__(self, masks: list[int], m: int, s: int, t_max: int):
@@ -304,7 +304,7 @@ class _Plan:
             free.append(slot.pop(c))
 
 
-def _layer(plan: _Plan, frontier: dict, e: int, room: int = 0) -> dict:
+def _layer(plan: _Plan, frontier: dict, e: int, room: int) -> dict:
     """Label edge e in every state of frontier (a dict that is consumed) and
     return the frontier at depth e + 1.
 
@@ -432,8 +432,9 @@ def _candidate_masks(g: Graph, masks: list[int]) -> list[list[int]]:
 
 def _run(plans: list, node_budget: int) -> tuple[list[int], int]:
     """Coefficients a_0..a_{t_max} of the census, counted over the candidate
-    plans, and the states expanded over every plan, layer and slice, raising
-    ResourceLimitError before that total would pass node_budget.
+    plans, and the states expanded over every plan and layer, raising
+    ResourceLimitError before that total would pass node_budget, or before
+    a layer whose frontier holds more than _FRONTIER_BYTES of keys.
 
     The plans first race layer by layer in step.  After each layer a plan
     drops out when its frontier holds more than _RACE_SPREAD times the states
@@ -444,17 +445,8 @@ def _run(plans: list, node_budget: int) -> tuple[list[int], int]:
     smallest so went on to win.  The race stops when one plan is left, when
     they finish, or when their frontiers together hold more than
     _FRONTIER_BYTES of keys; the smallest frontier then wins, the earliest
-    plan on ties, and is counted to the end.
-
-    The states held at once, in the frontier and in slices waiting their
-    turn, are kept to about _FRONTIER_BYTES of keys: a frontier above its
-    share is dealt into two halves, counted one after the other.  Slices add
-    exactly, and the node total only grows, so each layer's check gives the
-    budget decision.  The pair and group rules only serve merges, which
-    slices lose between them, so at the first split the plan stops building
-    them, and the layers after it remember no canonical forms.  A whole
-    layer remembers canonical forms in the room its frontiers leave under
-    the bound.
+    plan on ties, and is counted to the end.  Each layer remembers canonical
+    forms in the room its frontiers leave under the bound.
     """
     nodes = 0
 
@@ -481,27 +473,17 @@ def _run(plans: list, node_budget: int) -> tuple[list[int], int]:
                            and len(fr) * was > _RACE_GROWTH * len(least) * before)]
     plan, _, frontier = min(racers, key=lambda racer: len(racer[2]))
     del racers   # frees the losers' frontiers before the winner is counted
-    most = 8 * _FRONTIER_BYTES // plan.key_bits
+    most = max(2, 8 * _FRONTIER_BYTES // plan.key_bits)
+    for e in range(depth, m):
+        if len(frontier) > most:
+            raise ResourceLimitError(f"census frontier of {len(frontier)} states at edge {e} "
+                                     f"of {m} passes its bound of {most}")
+        spend(len(frontier))
+        frontier = _layer(plan, frontier, e, most - len(frontier))
     low = (1 << plan.width.bit_length()) - 1
     coeffs = [0] * (plan.width + 1)
-    pending, waiting, whole = [(depth, frontier)], len(frontier), True
-    while pending:
-        depth, frontier = pending.pop()
-        waiting -= len(frontier)
-        while depth < m and len(frontier) <= max(2, most - waiting):
-            spend(len(frontier))
-            frontier = _layer(plan, frontier, depth, most - len(frontier) if whole else 0)
-            depth += 1
-        if depth < m:
-            whole, plan.spare = False, 0   # the steps not yet built get no rules
-            items = list(frontier.items())
-            del frontier
-            half = len(items) // 2
-            pending += [(depth, dict(items[half:])), (depth, dict(items[:half]))]
-            waiting += len(items)
-            continue
-        for key, w in frontier.items():
-            coeffs[key & low] += w
+    for key, w in frontier.items():
+        coeffs[key & low] += w
     return coeffs, nodes
 
 
@@ -511,8 +493,8 @@ def build_census(g: Graph, k: int, s: int, t_max: int | None = None,
     """Tally a_t for t in [1, t_max] over all admissible edge partitions.
 
     masks are the edge masks of g's k-cliques, from k_cliques, when the caller
-    has them.  nodes_visited counts the DP states expanded, over every layer,
-    slice and candidate edge order; it is the unit of node_budget, and the
+    has them.  nodes_visited counts the DP states expanded, over every layer
+    and candidate edge order; it is the unit of node_budget, and the
     census raises ResourceLimitError exactly when it would exceed node_budget.
     """
     if s < 2:

@@ -180,6 +180,10 @@ def _threshold_table(args) -> _Output:
                 csv.append([cells[-1][c] for c in _CELL_COLUMNS])
         r0_rows.append(r0_row)
         r1_rows.append(r1_row)
+    if not cells:
+        raise ContractViolationError(
+            f"no k in [{args.k[0]}, {args.k[-1]}] has a cell of s in "
+            f"[{s_values[0]}, {s_values[-1]}] with 2 <= s <= C(k, 2)")
     md = (_md_grid(s_values, r0_rows) + [""]
           + _md_grid([s for s in s_values if s >= 3], r1_rows))
     return _Output("thresholds table", {"cells": cells}, md, csv)

@@ -318,10 +318,15 @@ def check_turan_bounds(k_values=(3, 4, 5, 6, 7, 8), n_max: int = 200) -> CheckRe
 # -- threshold gap census ----------------------------------------------------------------------
 
 def pairs_census(k_range=(4, 9), s_min: int = 3) -> list[tuple[int, int]]:
-    """All (k, s) with r0 = r1 + 1 for k in k_range and s >= s_min."""
+    """All (k, s) with r0 = r1 + 1 for k in k_range and s >= s_min.  A range
+    with no cell of s <= C(k, 2) tests nothing, and is refused."""
     if s_min < 3:
         raise ContractViolationError(f"r1 starts at s = 3, got s_min = {s_min}")
     lo, hi = k_range
+    if lo < 4:
+        raise ContractViolationError(f"k = {lo} is outside formula scope; pairs start at k = 4")
+    if comb(hi, 2) < s_min:
+        raise ContractViolationError(f"no k in [{lo}, {hi}] has C(k, 2) >= s_min = {s_min}")
     out = []
     for k in range(lo, hi + 1):
         for s in range(s_min, comb(k, 2) + 1):
@@ -335,8 +340,8 @@ def pairs_report(k_range=(4, 9), s_min: int = 3) -> dict:
     """Census plus the comparison against the reported list, under both the
     s >= 3 and s >= 4 readings (the reported list says s >= 4 yet includes
     (9, 3); both readings are emitted rather than guessing intent)."""
-    pairs_s3 = pairs_census(k_range, min(s_min, 3))     # raises for s_min < 3
-    pairs = [p for p in pairs_s3 if p[1] >= s_min]
+    pairs = pairs_census(k_range, s_min)
+    pairs_s3 = pairs_census(k_range, 3) if s_min > 3 else pairs
     pairs_s4 = [p for p in pairs_s3 if p[1] >= 4]
     reported = sorted(REPORTED_TIGHT_PAIRS)
     return {

@@ -122,10 +122,15 @@ class TestCensus:
     @pytest.mark.parametrize("parts, k, s, t_max, states", [
         ((1,) * 7, 4, 3, 16, 1219), ((2, 2, 2, 1), 4, 4, 16, 10071),
         ((1,) * 6, 4, 4, 15, 9308), ((3, 3, 1), 3, 3, 10, 321)])
-    def test_states_expanded(self, parts, k, s, t_max, states):
+    def test_states_expanded(self, monkeypatch, parts, k, s, t_max, states):
         # nodes_visited is printed; a change to the merge rules or the race
-        # changes it, and must regenerate the outputs that show it
-        assert build_census(complete_multipartite(parts), k, s, t_max=t_max).nodes_visited == states
+        # changes it, and must regenerate the outputs that show it.  The
+        # frontier bound does not: a census under it counts the same at 1 GiB
+        g = complete_multipartite(parts)
+        poly = build_census(g, k, s, t_max=t_max)
+        assert poly.nodes_visited == states
+        monkeypatch.setattr(census, "_FRONTIER_BYTES", 1 << 30)
+        assert build_census(g, k, s, t_max=t_max) == poly
 
     def test_empty_graph(self):
         poly = build_census(Graph(2), 3, 2)
@@ -210,28 +215,19 @@ class TestPlan:
 class TestCanonicalMemo:
     WHOLE = [((1,) * 6, 3, 3, 15), ((1,) * 6, 4, 4, 15), ((2, 2, 2, 1), 4, 3, 16),
              ((3, 2, 1), 3, 3, 11), ((3, 1, 1, 1, 1), 4, 4, 16)]
-    SLICED = [((1,) * 5, 4, 3, 10), ((1,) * 5, 3, 3, 6), ((2, 2, 1), 3, 2, 8),
-              ((3, 1, 1, 1), 4, 4, 5)]
 
-    @pytest.mark.parametrize("sliced", [False, True])
-    def test_memo_changes_no_count(self, monkeypatch, sliced):
+    def test_memo_changes_no_count(self, monkeypatch):
         # a layer's remembered canonical forms, however many, change neither
-        # the coefficients nor the states; under a frontier bound of a byte
-        # every layer is sliced and none is offered room
-        cases = self.SLICED if sliced else self.WHOLE
-        if sliced:
-            monkeypatch.setattr(census, "_FRONTIER_BYTES", 1)
-
+        # the coefficients nor the states
         def censuses():
             return [build_census(complete_multipartite(parts), k, s, t_max=t_max)
-                    for parts, k, s, t_max in cases]
+                    for parts, k, s, t_max in self.WHOLE]
 
         _layers_run(monkeypatch, room=0)
         want = censuses()
         runs = _layers_run(monkeypatch)
         assert censuses() == want
-        rooms = [room for _, _, offered in runs.values() for room in offered]
-        assert max(rooms) <= 0 if sliced else min(rooms) > 0
+        assert min(room for _, _, offered in runs.values() for room in offered) > 0
         for room in (1, 7, 10 ** 9):
             _layers_run(monkeypatch, room=room)
             assert censuses() == want
@@ -294,48 +290,26 @@ class TestWalkOracle:
             for _ in range(3):
                 _same_as_walk(_relabelled(g, rng), k, s, t_max, want)
 
-    def test_frontier_counted_in_slices(self, monkeypatch):
-        # a frontier above the cap is split and its halves counted one by one
-        monkeypatch.setattr(census, "_FRONTIER_BYTES", 1)   # two states at most
+    def test_frontier_over_its_bound_exits(self, monkeypatch):
+        # a frontier of more states than the bound allows, two under a bound
+        # of one byte, stops the census as its node budget does
+        monkeypatch.setattr(census, "_FRONTIER_BYTES", 1)
         for g, k, s, t_max in ((K5, 4, 3, 10), (K5, 3, 3, 6), (K4, 4, 4, 6),
                                (complete_multipartite([2, 2, 1]), 3, 2, 8),
                                (complete_multipartite([3, 1, 1, 1]), 4, 4, 5)):
-            _same_as_walk(g, k, s, t_max)
+            with pytest.raises(ResourceLimitError, match="census frontier of .* states at edge "
+                                                         ".* passes its bound of 2$"):
+                build_census(g, k, s, t_max=t_max, node_budget=10 ** 9)
 
-    @pytest.mark.parametrize("parts, k, s, t_max, bound, raced, states", [
-        ((3, 2, 1), 3, 3, 6, 64, 3, 134), ((3, 1, 1, 1), 4, 4, 5, 32, 5, 147)])
-    def test_race_then_slices(self, monkeypatch, parts, k, s, t_max, bound, raced, states):
+    def test_race_then_exits(self, monkeypatch):
         # the orders race through their first layers with room to remember
-        # canonical forms, then the winner's frontier is split and its later
-        # layers get none
-        monkeypatch.setattr(census, "_FRONTIER_BYTES", bound)
-        g = complete_multipartite(parts)
+        # canonical forms; the winner's frontier then outgrows the bound
+        monkeypatch.setattr(census, "_FRONTIER_BYTES", 64)
         runs = _layers_run(monkeypatch)
-        assert build_census(g, k, s, t_max=t_max).nodes_visited == states
+        with pytest.raises(ResourceLimitError, match="frontier of 14 states at edge 7 of 11"):
+            build_census(complete_multipartite((3, 2, 1)), 3, 3, t_max=6)
         assert len(runs) > 1
-        rooms = max((offered for _, _, offered in runs.values()), key=len)
-        assert min(rooms[:raced]) > 0 and 0 in rooms[raced:]
-        _same_as_walk(g, k, s, t_max)
-
-    def test_no_rules_after_the_first_split(self, monkeypatch):
-        # the steps a plan builds once its frontier is split carry no pair or
-        # group rules; counted whole, the same order has them past that depth
-        g = complete_multipartite((3, 2, 1))
-        winners = []
-        for bound in (census._FRONTIER_BYTES, 64):
-            monkeypatch.setattr(census, "_FRONTIER_BYTES", bound)
-            runs = _layers_run(monkeypatch)
-            build_census(g, 3, 3, t_max=6)
-            winners.append(max(runs.values(), key=lambda run: len(run[2])))
-        (whole, _, _), (sliced, _, rooms) = winners
-        assert whole.masks == sliced.masks
-        split = rooms.index(0)
-        assert split == 7
-
-        def ruled(plan):
-            return [e for e, step in enumerate(plan.steps) if e >= split and (step[5] or step[6])]
-
-        assert ruled(whole) and not ruled(sliced)
+        assert min(room for _, _, offered in runs.values() for room in offered) > 0
 
     @pytest.mark.parametrize("spare", [0, 60])
     def test_plan_rules_cut_short(self, monkeypatch, spare):

@@ -380,6 +380,17 @@ class TestLpAndPairs:
         assert code == EXIT_CONTRACT and out == ""
         assert "has C(k, 2) >= s" in err
 
+    @pytest.mark.parametrize("argv", [
+        "pairs --k 3", "pairs --k 2", "pairs --k 1", "pairs --k 2..9",
+        "pairs --k 4..5 --s-min 40",
+        "thresholds table --k 4..5 --s 50", "thresholds table --k 4 --s 1"])
+    def test_request_with_no_cell_is_a_contract_error(self, capsys, argv):
+        # a k below formula scope, or a range that reaches no cell, is refused
+        # before any output
+        code, out, err = run(capsys, *argv.split(), "--format", "json")
+        assert code == EXIT_CONTRACT and out == ""
+        assert err.startswith("error:")
+
 
 class TestProps:
     def test_entropy_check_passes(self, capsys):
