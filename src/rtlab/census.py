@@ -9,9 +9,11 @@ chooses per graph) and tallies a census polynomial: a_t counts admissible
 partitions with exactly t blocks, and the admissible colorings for any
 palette size r number sum_t a_t * r*(r-1)*...*(r-t+1).
 
-Complete graphs at (k, s) = (3, 3) are counted instead by a polynomial
-recurrence over Gallai's decomposition of colorings with no rainbow
-triangle; the census still counts them when asked for by method.
+Complete graphs skip the census in two regimes: at (k, s) = (3, 3) they
+are counted by a polynomial recurrence over Gallai's decomposition of
+colorings with no rainbow triangle, and at k >= max(3, 2s - 2) by a closed
+form, as their admissible colorings there are those with at most s - 1
+colors.  The census still counts both when asked for by method.
 
 A definitional brute-force oracle that walks all r**m colorings is kept
 alongside and stays independent of the partition route; the two are held
@@ -40,8 +42,8 @@ from .thresholds import turan_ex
 
 DEFAULT_COLORING_BUDGET = 10 ** 8
 #: DP states a census may expand: K7 at (k, s) = (4, 4) needs 343,425.  K8..K11
-#: at (4, 4) and (3, 3), K10 and K11 at (4, 3) and K12 at (5, 4) stop on their
-#: frontier bound before this budget, after 0.4-5.4 s (2-CPU Intel Xeon VM)
+#: at (4, 4) and (3, 3) and K12 at (5, 4) stop on their frontier bound before
+#: this budget, after 0.4-5.4 s (2-CPU Intel Xeon VM)
 DEFAULT_NODE_BUDGET = 10 ** 6
 #: bytes of state keys a census frontier may hold; a census whose frontier
 #: outgrows them stops, as it does on its node budget, so memory stays bounded
@@ -68,6 +70,7 @@ if TYPE_CHECKING:   # numpy is imported where it is used: only brute-force count
 METHOD_BRUTE = "brute"
 METHOD_CENSUS = "census"
 METHOD_GALLAI = "gallai"
+METHOD_FEW_COLORS = "few_colors"
 METHOD_TRIVIAL_KFREE = "trivial_kfree"
 METHOD_TRIVIAL_FEWER_COLORS = "trivial_r_lt_s"   # r < s admits every coloring
 
@@ -577,6 +580,45 @@ def _gallai_count(n: int, r: int) -> int:
     return g[n]
 
 
+# -- complete graphs with k >= max(3, 2s - 2) ------------------------------------------
+#
+# With n >= k >= max(3, 2s - 2), a coloring of K_n is admissible exactly when
+# it uses at most s - 1 colors.  One that uses fewer shows fewer on every
+# clique.  In one that uses s or more, some set W of at most max(3, 2s - 2) <= k
+# vertices sees s colors on its edges, so the k-cliques that hold W see s:
+#   * s = 2: K_n is connected, so two colors meet at a vertex, on 3 vertices;
+#   * s = 3: two colors meet at a, on edges ab and ac, so the triangle abc sees
+#     three colors or two; in the second case take an edge of a third color.
+#     If it meets abc, W has 4 vertices.  If it is an edge de apart from abc,
+#     the K4 abde sees three colors, or acde does, or ad has de's color (the
+#     one color both allow), and then abcd sees three;
+#   * s >= 4: by the case s - 1, a W of at most 2s - 4 vertices sees s - 1
+#     colors; add both ends of an edge in a color W lacks.
+# The bound is tight: at k = 2s - 3, color s - 1 disjoint edges of K_{2s-2} in
+# new colors on a one-color background.  It sees s colors, yet each K_k misses
+# an end of one of those edges (K6 at (5, 4) has a_4 = 15 and K8 at (7, 5)
+# a_5 = 105 in the census, the perfect matchings).  So the count is
+# sum_{t < s} S(m, t) r(r-1)...(r-t+1), and S(m, t) t! counts the maps of the
+# m edges onto t colors, by inclusion-exclusion over the colors left out.
+
+def _few_color_count(m: int, s: int, r: int) -> int:
+    """The r-colorings of m >= 1 edges with at most s - 1 colors, in O(s^2)
+    big-integer steps."""
+    powers = [j ** m for j in range(s)]
+    return sum(comb(r, t) * sum((-1) ** (t - j) * comb(t, j) * powers[j] for j in range(t + 1))
+               for t in range(1, s))
+
+
+def _complete_count(n: int, k: int, s: int, r: int) -> tuple[int, str] | None:
+    """The count of K_n and its method where a route skips the census, else
+    None.  The two routes do not overlap: k = 3 takes the second only at s = 2."""
+    if (k, s) == (3, 3) and n >= 3:
+        return _gallai_count(n, r), METHOD_GALLAI
+    if n >= k >= max(3, 2 * s - 2):
+        return _few_color_count(comb(n, 2), s, r), METHOD_FEW_COLORS
+    return None
+
+
 # -- auto strategy -------------------------------------------------------------------
 
 def count_colorings(g: Graph, k: int, s: int, r: int, method: str = "auto",
@@ -587,8 +629,10 @@ def count_colorings(g: Graph, k: int, s: int, r: int, method: str = "auto",
 
     Shortcuts: with r < s no coloring can show s distinct colors on any
     clique, and with no k-clique present the constraint is empty, so both
-    cases count r**m directly.  A complete graph at (k, s) = (3, 3) is
-    counted by the Gallai recurrence, in time polynomial in n.
+    cases count r**m directly.  A complete graph K_n is counted in time
+    polynomial in n at (k, s) = (3, 3), by the Gallai recurrence, and at
+    n >= k >= max(3, 2s - 2), where its admissible colorings are those with
+    at most s - 1 colors.  Method "census" forces the census on them.
     """
     _check_count(k, s, r)
     if method == "brute":
@@ -597,8 +641,10 @@ def count_colorings(g: Graph, k: int, s: int, r: int, method: str = "auto",
         raise ContractViolationError(f"unknown method {method!r}")
     if method == "auto" and r < s:
         return CountResult(r ** g.m, r, k, s, g.graph6, METHOD_TRIVIAL_FEWER_COLORS, 0)
-    if method == "auto" and (k, s) == (3, 3) and g.n >= 3 and g.m == comb(g.n, 2):
-        return CountResult(_gallai_count(g.n, r), r, k, s, g.graph6, METHOD_GALLAI, 0)
+    if method == "auto" and g.m == comb(g.n, 2):
+        route = _complete_count(g.n, k, s, r)
+        if route:
+            return CountResult(route[0], r, k, s, g.graph6, route[1], 0)
     masks = [mask for _, mask in k_cliques(g, k)]
     if method == "auto" and not masks:
         return CountResult(r ** g.m, r, k, s, g.graph6, METHOD_TRIVIAL_KFREE, 0)

@@ -333,7 +333,10 @@ def _add_common(p):
     p.add_argument("--threads", type=_int_at_least(1, "positive"), default=DEFAULTS["threads"],
                    help="processes that count scan rows")
     p.add_argument("--node-budget", dest="node_budget", type=_int_at_least(0, "non-negative"),
-                   default=DEFAULTS["node_budget"])
+                   default=DEFAULTS["node_budget"],
+                   help="DP states a census may expand (exit 3 past it); a census also "
+                        "exits 3 when its frontier passes 8 MiB of keys, a bound no flag "
+                        "moves, so a larger budget does not finish such a census")
     p.add_argument("--coloring-budget", dest="coloring_budget",
                    type=_int_at_least(0, "non-negative"), default=DEFAULTS["coloring_budget"])
     p.add_argument("--cache", default=DEFAULTS["cache"])

@@ -151,10 +151,12 @@ class TestCensus:
         assert all(res.method == "census" for res in got)
         assert [(res.nodes_visited, res.value) for res in got] == [row[3:] for row in rows]
         assert sum(res.nodes_visited for res in got) == 14_721
-        # under auto, K6 at (3, 3) takes the Gallai route and every other row the census
+        # under auto, K7 at (4, 3) takes the few-colors route, K6 at (3, 3) the
+        # Gallai route and every other row the census
         auto = [count_colorings(complete_multipartite(parts), k, s, 4)
                 for parts, k, s, _, _ in rows]
-        assert [res.method for res in auto] == ["census"] * 13 + ["gallai"]
+        assert [res.method for res in auto] == (["census"] * 6 + ["few_colors"]
+                                                + ["census"] * 6 + ["gallai"])
         assert [res.value for res in auto] == [res.value for res in got]
 
 
@@ -372,7 +374,7 @@ class TestAutoStrategy:
         assert count_colorings(Graph(3), 4, 3, 0, method=method).value == 1
 
     def test_census_route(self):
-        res = count_colorings(K4, 4, 3, 3)
+        res = count_colorings(K4, 4, 3, 3, method="census")
         assert res.method == "census"
         assert res.value == count_brute(K4, 4, 3, 3).value
 
@@ -386,7 +388,7 @@ class TestAutoStrategy:
 
         want = count_brute(K5, 4, 3, 3).value
         monkeypatch.setattr(census, "k_cliques", counted)
-        assert count_colorings(K5, 4, 3, 3).value == want
+        assert count_colorings(K5, 4, 3, 3, method="census").value == want
         assert len(calls) == 1
 
 
@@ -447,7 +449,7 @@ class TestGallaiRoute:
     def test_other_graphs_and_methods_keep_their_routes(self):
         k6_minus_edge = Graph(6, [e for e in itertools.combinations(range(6), 2) if e != (0, 1)])
         assert count_colorings(k6_minus_edge, 3, 3, 4).method == "census"
-        assert count_colorings(K5, 4, 3, 4).method == "census"
+        assert count_colorings(K5, 4, 3, 4).method == "few_colors"
         assert count_colorings(K5, 3, 4, 4).method == "census"
         forced = count_colorings(complete(6), 3, 3, 4, method="census")
         assert (forced.method, forced.nodes_visited, forced.value) == ("census", 7863, 843904)
@@ -459,6 +461,53 @@ class TestGallaiRoute:
         # q2's reference, C(3, 2) * 2^C(n,2), is within 1e-12 of the count
         reference = 3 * 2 ** comb(64, 2)
         assert reference < res.value < reference + reference // 10 ** 12
+
+
+def _few_color_cells(n_max):
+    """(n, k, s) of every K_n with 3 <= n <= n_max in the few-colors regime."""
+    return [(n, k, s) for n in range(3, n_max + 1) for s in range(2, n)
+            for k in range(max(3, 2 * s - 2), n + 1)]
+
+
+class TestFewColorsRoute:
+    # K_n at n >= k >= max(3, 2s - 2) under auto: the colorings with at most s - 1 colors
+    def test_equals_census(self):
+        cells = _few_color_cells(7)
+        assert len(cells) == 28
+        for n, k, s in cells:
+            poly = build_census(complete(n), k, s, t_max=comb(n, 2))
+            for r in range(s, 7):
+                res = count_colorings(complete(n), k, s, r)
+                assert (res.method, res.nodes_visited) == ("few_colors", 0)
+                assert res.value == evaluate(poly, r).value
+
+    def test_equals_brute(self):
+        for n, k, s in _few_color_cells(5):
+            for r in range(s, 5):
+                assert count_colorings(complete(n), k, s, r).value == \
+                    count_brute(complete(n), k, s, r).value
+
+    @pytest.mark.parametrize("n, k, s, matchings", [(6, 5, 4, 15), (8, 7, 5, 105)])
+    def test_one_vertex_short_of_the_bound_keeps_the_census(self, n, k, s, matchings):
+        # at k = 2s - 3 the perfect matchings of K_{2s-2}, each edge in a new
+        # color on a one-color background, show s colors and are admissible
+        res = count_colorings(complete(n), k, s, s + 1)
+        poly = build_census(complete(n), k, s)
+        assert res.method == "census" and max(poly.coefficients) == s
+        assert poly.coefficients[s] == matchings
+        assert res.value == (census._few_color_count(comb(n, 2), s, s + 1)
+                             + matchings * math.perm(s + 1, s))
+
+    def test_other_cells_keep_their_routes(self):
+        assert count_colorings(K4, 2, 2, 3).method == "census"
+        assert count_colorings(K5, 3, 3, 4).method == "gallai"
+        assert count_colorings(K5, 4, 3, 2).method == "trivial_r_lt_s"
+        assert count_colorings(K4, 5, 2, 3).method == "trivial_kfree"
+
+    def test_reaches_64_vertices(self):
+        res = count_colorings(complete(64), 4, 3, 5)
+        # one color on every edge, or two: C(5, 2) (2^m - 2) + 5
+        assert (res.method, res.value) == ("few_colors", 10 * (2 ** comb(64, 2) - 2) + 5)
 
 
 class TestCompareVsTuran:
@@ -621,8 +670,8 @@ class TestCache:
 
     def test_count_uses_cache(self, tmp_path):
         cache = CensusCache(tmp_path / "c.jsonl")
-        first = count_colorings(K4, 4, 3, 3, cache=cache)
-        second = count_colorings(K4, 4, 3, 3, cache=cache)
+        first = count_colorings(K4, 4, 3, 3, method="census", cache=cache)
+        second = count_colorings(K4, 4, 3, 3, method="census", cache=cache)
         assert first.value == second.value
         assert len((tmp_path / "c.jsonl").read_text().splitlines()) == 1
 
@@ -653,7 +702,7 @@ class TestCache:
             warnings.simplefilter("error")
             cache = CensusCache(path)
         assert cache.find_at_least(K4.graph6, 4, 3, 1) is None
-        first = count_colorings(K4, 4, 3, 3, cache=cache)
+        first = count_colorings(K4, 4, 3, 3, method="census", cache=cache)
         assert first.nodes_visited > 0
         assert CensusCache(path).get(K4.graph6, 4, 3, 6).nodes_visited == first.nodes_visited
 

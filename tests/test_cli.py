@@ -128,7 +128,8 @@ class TestCount:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(census, "build_census", slow)
-        code, _, err = run(capsys, "count", "--complete", "4", "--k", "4", "--s", "3", "--r", "3")
+        code, _, err = run(capsys, "count", "--complete", "4", "--k", "4", "--s", "3", "--r", "3",
+                           "--method", "census")
         assert code == EXIT_OK
         elapsed = float(err.split("elapsed: ")[1].split("s")[0])
         assert elapsed >= 0.05
@@ -161,6 +162,15 @@ class TestCount:
                            "--format", "json")
         assert code == EXIT_OK
         assert abs(json.loads(out)["result"]["ratio_float"] - 1) < 1e-8
+
+    def test_q2_exact_at_40_vertices_in_the_few_colors_regime(self, capsys):
+        code, out, _ = run(capsys, "q2", "--n", "40", "--k", "4", "--s", "3", "--r", "4",
+                           "--format", "json")
+        assert code == EXIT_OK
+        # one color on every edge, or two, against C(4, 2) 2^m
+        m = comb(40, 2)
+        rep = json.loads(out)["result"]
+        assert (rep["count"], rep["reference"]) == (str(6 * 2 ** m - 8), str(6 * 2 ** m))
 
     @pytest.mark.parametrize("argv", [
         "count --complete 3 --k 3 --s 2 --r -1",
@@ -484,7 +494,8 @@ class TestFiles:
         # its first census needs a directory where a file stands
         blocker = tmp_path / "file"
         blocker.write_text("")
-        code, out, err = run(capsys, *self.SCAN, "--cache", str(blocker / "c.jsonl"))
+        code, out, err = run(capsys, *self.COUNT, "--complete", "3", "--method", "census",
+                             "--cache", str(blocker / "c.jsonl"))
         assert code == EXIT_USAGE and out == ""
         assert err.startswith("usage error:") and str(blocker) in err
 
@@ -548,7 +559,7 @@ class TestConfigLayers:
 
     def test_zero_node_budget_is_a_budget_exit(self, capsys):
         code, out, err = run(capsys, "count", "--complete", "4", "--k", "4", "--s", "3",
-                             "--r", "3", "--node-budget", "0")
+                             "--r", "3", "--method", "census", "--node-budget", "0")
         assert code == EXIT_RESOURCE and out == ""
         assert "node budget 0" in err
 

@@ -26,7 +26,8 @@ CASES = {
     "thresholds-s2": "thresholds --k 5 --s 2",
     "table": "thresholds table --k 4..6",
     "table-s-range": "thresholds table --k 4..5 --s 3..6",
-    "count-census": "count --complete 4 --k 4 --s 3 --r 3",
+    "count-census": "count --complete 4 --k 4 --s 3 --r 3 --method census",
+    "count-few-colors": "count --complete 10 --k 4 --s 3 --r 5",
     "count-brute": "count --complete 4 --k 4 --s 3 --r 3 --method brute",
     "count-kfree": "count --turan 6 4 --k 4 --s 3 --r 7",
     "count-parts": "count --parts 2,2,1 --k 3 --s 2 --r 3",
