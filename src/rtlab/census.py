@@ -7,7 +7,10 @@ classes, never on the color identities, so the engine counts set
 partitions once (as restricted growth strings over an edge order it
 chooses per graph) and tallies a census polynomial: a_t counts admissible
 partitions with exactly t blocks, and the admissible colorings for any
-palette size r number sum_t a_t * r*(r-1)*...*(r-t+1).
+palette size r number sum_t a_t * r*(r-1)*...*(r-t+1).  When
+k >= max(3, 2s - 2) the census caps the colors of each maximal clique of at
+least k vertices instead of each k-clique: a coloring of K_q there shows at
+most s - 1 colors on every k-clique exactly when it uses at most s - 1 colors.
 
 Complete graphs skip the census in two regimes: at (k, s) = (3, 3) they
 are counted by a polynomial recurrence over Gallai's decomposition of
@@ -36,8 +39,8 @@ from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from .errors import ContractViolationError, ResourceLimitError
-from .graphs import Graph, complete, complete_multipartite, k_cliques, parse_graph6, \
-    read_graph6_file
+from .graphs import Graph, complete, complete_multipartite, k_cliques, maximal_cliques, \
+    parse_graph6, read_graph6_file
 from .thresholds import turan_ex
 
 DEFAULT_COLORING_BUDGET = 10 ** 8
@@ -188,12 +191,12 @@ def count_brute(g: Graph, k: int, s: int, r: int,
 # The census counts restricted growth strings (RGS): labellings of the edges,
 # in an edge order, in which a new block takes the next unused label.  They form
 # a tree: a node at depth e with nb blocks in use has nb + [nb < t_max]
-# children, one per label edge e may take, and a child dies when some k-clique
-# would show s labels.  The tree is counted layer by layer by a frontier DP over
-# the same edge order, without visiting its nodes.  Every edge order gives the
-# same leaves per block count, since RGS in any order are the set partitions of
-# the edges, but not the same number of DP states: build_census chooses the
-# order per graph (see _run).
+# children, one per label edge e may take, and a child dies when some capped
+# clique (see _capped_masks) would show s labels.  The tree is counted layer by
+# layer by a frontier DP over the same edge order, without visiting its nodes.
+# Every edge order gives the same leaves per block count, since RGS in any
+# order are the set partitions of the edges, but not the same number of DP
+# states: build_census chooses the order per graph (see _run).
 #
 # A clique is open at depth e when its first edge comes before e and its last
 # edge at or after e.  Later edges see the labels so far only through the label
@@ -495,8 +498,10 @@ def build_census(g: Graph, k: int, s: int, t_max: int | None = None,
                  masks: list[int] | None = None) -> CensusPolynomial:
     """Tally a_t for t in [1, t_max] over all admissible edge partitions.
 
-    masks are the edge masks of g's k-cliques, from k_cliques, when the caller
-    has them.  nodes_visited counts the DP states expanded, over every layer
+    masks are the edge masks of the cliques whose colors the census caps, when
+    the caller has them, and otherwise are found by _capped_masks: the maximal
+    cliques of at least k vertices when k >= max(3, 2s - 2), else the
+    k-cliques.  nodes_visited counts the DP states expanded, over every layer
     and candidate edge order; it is the unit of node_budget, and the
     census raises ResourceLimitError exactly when it would exceed node_budget.
     """
@@ -508,7 +513,7 @@ def build_census(g: Graph, k: int, s: int, t_max: int | None = None,
     if t_max < 1:
         raise ContractViolationError(f"t_max must be >= 1, got {t_max}")
     if masks is None:
-        masks = [mask for _, mask in k_cliques(g, k)]
+        masks = _capped_masks(g, k, s)
     # a census of few edges is over before another order could pay for its race
     candidates = _candidate_masks(g, masks) if m > _RACE_MIN_EDGES else [masks]
     coeffs, nodes = _run([_Plan(c, m, s, t_max) for c in candidates], node_budget)
@@ -580,13 +585,14 @@ def _gallai_count(n: int, r: int) -> int:
     return g[n]
 
 
-# -- complete graphs with k >= max(3, 2s - 2) ------------------------------------------
+# -- the regime k >= max(3, 2s - 2) ---------------------------------------------------
 #
-# With n >= k >= max(3, 2s - 2), a coloring of K_n is admissible exactly when
-# it uses at most s - 1 colors.  One that uses fewer shows fewer on every
-# clique.  In one that uses s or more, some set W of at most max(3, 2s - 2) <= k
-# vertices sees s colors on its edges, so the k-cliques that hold W see s:
-#   * s = 2: K_n is connected, so two colors meet at a vertex, on 3 vertices;
+# With q >= k >= max(3, 2s - 2), a coloring of K_q shows at most s - 1 colors
+# on every k-clique exactly when it uses at most s - 1 colors.  One that uses
+# fewer shows fewer on every clique.  In one that uses s or more, some set W of
+# at most max(3, 2s - 2) <= k vertices sees s colors on its edges, so the
+# k-cliques that hold W see s:
+#   * s = 2: K_q is connected, so two colors meet at a vertex, on 3 vertices;
 #   * s = 3: two colors meet at a, on edges ab and ac, so the triangle abc sees
 #     three colors or two; in the second case take an edge of a third color.
 #     If it meets abc, W has 4 vertices.  If it is an edge de apart from abc,
@@ -597,9 +603,15 @@ def _gallai_count(n: int, r: int) -> int:
 # The bound is tight: at k = 2s - 3, color s - 1 disjoint edges of K_{2s-2} in
 # new colors on a one-color background.  It sees s colors, yet each K_k misses
 # an end of one of those edges (K6 at (5, 4) has a_4 = 15 and K8 at (7, 5)
-# a_5 = 105 in the census, the perfect matchings).  So the count is
+# a_5 = 105 in the census, the perfect matchings).
+#
+# Two routes rest on this.  K_n itself is counted in closed form: its count is
 # sum_{t < s} S(m, t) r(r-1)...(r-t+1), and S(m, t) t! counts the maps of the
-# m edges onto t colors, by inclusion-exclusion over the colors left out.
+# m edges onto t colors, by inclusion-exclusion over the colors left out.  And
+# since every k-clique of a graph lies in a maximal clique of at least k
+# vertices, a coloring is admissible exactly when each such maximal clique
+# shows at most s - 1 colors, so the census caps those cliques instead of the
+# k-cliques: fewer sets, overlapping less (K_{2,1,1,1,1,1} has 2 against 25).
 
 def _few_color_count(m: int, s: int, r: int) -> int:
     """The r-colorings of m >= 1 edges with at most s - 1 colors, in O(s^2)
@@ -619,6 +631,15 @@ def _complete_count(n: int, k: int, s: int, r: int) -> tuple[int, str] | None:
     return None
 
 
+def _capped_masks(g: Graph, k: int, s: int) -> list[int]:
+    """The edge masks of the cliques the census caps at s - 1 colors: the
+    maximal cliques of at least k vertices when k >= max(3, 2s - 2), else
+    the k-cliques.  Either list is empty exactly when g has no k-clique."""
+    if k >= max(3, 2 * s - 2):
+        return [mask for _, mask in maximal_cliques(g, k)]
+    return [mask for _, mask in k_cliques(g, k)]
+
+
 # -- auto strategy -------------------------------------------------------------------
 
 def count_colorings(g: Graph, k: int, s: int, r: int, method: str = "auto",
@@ -632,7 +653,10 @@ def count_colorings(g: Graph, k: int, s: int, r: int, method: str = "auto",
     cases count r**m directly.  A complete graph K_n is counted in time
     polynomial in n at (k, s) = (3, 3), by the Gallai recurrence, and at
     n >= k >= max(3, 2s - 2), where its admissible colorings are those with
-    at most s - 1 colors.  Method "census" forces the census on them.
+    at most s - 1 colors.  Method "census" forces the census on them.  In
+    that regime the census, forced or not, caps the maximal cliques of at
+    least k vertices in place of the k-cliques; brute force still checks
+    every k-clique.
     """
     _check_count(k, s, r)
     if method == "brute":
@@ -645,7 +669,7 @@ def count_colorings(g: Graph, k: int, s: int, r: int, method: str = "auto",
         route = _complete_count(g.n, k, s, r)
         if route:
             return CountResult(route[0], r, k, s, g.graph6, route[1], 0)
-    masks = [mask for _, mask in k_cliques(g, k)]
+    masks = _capped_masks(g, k, s)
     if method == "auto" and not masks:
         return CountResult(r ** g.m, r, k, s, g.graph6, METHOD_TRIVIAL_KFREE, 0)
     t_need = _census_t_max(g, r)

@@ -2,9 +2,10 @@
 
 Graphs live on vertices 0..n-1 with n <= 64, adjacency held as per-vertex
 bitsets (Python ints) and an indexed edge list in lexicographic order.
-Clique edge masks index that list.  The census may count in another edge
-order, but its results, and the cache entries keyed by graph6, do not
-depend on the order.
+Cliques are listed two ways, every clique of k vertices (k_cliques) or the
+maximal cliques of at least a given size (maximal_cliques), and their edge
+masks index that list.  The census may count in another edge order, but its
+results, and the cache entries keyed by graph6, do not depend on the order.
 """
 
 from __future__ import annotations
@@ -234,6 +235,63 @@ def k_cliques(g: Graph, k: int):
             clique.pop()
 
     extend((1 << g.n) - 1, 0)
+    return out
+
+
+def maximal_cliques(g: Graph, min_size: int):
+    """The maximal cliques of at least min_size vertices as (vertex tuple,
+    edge-index bitmask), in lexicographic order like k_cliques.
+
+    Bron-Kerbosch over vertex bitsets, pivoting on the vertex with the most
+    candidates among its neighbours, and cut where the clique and its
+    candidates together fall short of min_size.  Only vertices of degree at
+    least min_size - 1 are candidates: no other one lies in, or extends, a
+    clique of min_size vertices.  A graph of more than MASK_BITS edges is
+    refused at its first such clique, as in k_cliques.
+    """
+    if min_size < 1:
+        raise ContractViolationError(f"maximal_cliques needs min_size >= 1, got {min_size}")
+    adj = g.adj
+    start = 0
+    for v in range(g.n):
+        if adj[v].bit_count() >= min_size - 1:
+            start |= 1 << v
+    if start.bit_count() < min_size:
+        return []
+    found = []
+
+    def expand(clique: int, size: int, cand: int, done: int):
+        if size + cand.bit_count() < min_size:
+            return
+        if not cand:
+            if not done:
+                if g.m > MASK_BITS:
+                    raise ResourceLimitError(
+                        f"graph has {g.m} edges; clique edge masks capped at {MASK_BITS}")
+                found.append(clique)
+            return
+        pivot, most, rest = 0, -1, cand | done
+        while rest:
+            u = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            held = (cand & adj[u]).bit_count()
+            if held > most:
+                pivot, most = u, held
+        skip = cand & ~adj[pivot]
+        while skip:
+            v = (skip & -skip).bit_length() - 1
+            skip &= skip - 1
+            expand(clique | 1 << v, size + 1, cand & adj[v], done & adj[v])
+            cand &= ~(1 << v)
+            done |= 1 << v
+
+    expand(0, 0, start, 0)
+    out = []
+    for clique in found:
+        verts = [v for v in range(g.n) if clique >> v & 1]
+        out.append((tuple(verts), sum(1 << g.edge_index(u, v)
+                                      for i, v in enumerate(verts) for u in verts[:i])))
+    out.sort()
     return out
 
 

@@ -13,6 +13,7 @@ from rtlab.census import CensusCache, build_census, count_brute, count_colorings
     extremal_scan, integer_partitions, question2_ratio
 from rtlab.errors import ContractViolationError, ResourceLimitError
 from rtlab.graphs import Graph, complete, complete_multipartite, k_cliques, turan_graph
+from rtlab.propcheck import atlas_graphs
 from rtlab.thresholds import PRIOR_WORK_R0_K3, turan_ex
 
 from census_walk_oracle import walk_census
@@ -120,7 +121,7 @@ class TestCensus:
         assert evaluate(poly, 5).value == 9_824_937_985   # as counted in the given order
 
     @pytest.mark.parametrize("parts, k, s, t_max, states", [
-        ((1,) * 7, 4, 3, 16, 1219), ((2, 2, 2, 1), 4, 4, 16, 10071),
+        ((1,) * 7, 4, 3, 16, 40), ((2, 2, 2, 1), 4, 4, 16, 10071),
         ((1,) * 6, 4, 4, 15, 9308), ((3, 3, 1), 3, 3, 10, 321)])
     def test_states_expanded(self, monkeypatch, parts, k, s, t_max, states):
         # nodes_visited is printed; a change to the merge rules or the race
@@ -138,11 +139,12 @@ class TestCensus:
 
     def test_census_scan_rows(self):
         # the complete multipartite counts of census-scan at r = 4, with the
-        # states each census expands; 14,721 in all
+        # states each census expands; 11,865 in all.  At (4, 3) the census caps
+        # the maximal cliques, which are the 4-cliques on the first four rows
         rows = [((4, 1, 1, 1), 4, 3, 80, 1084480), ((3, 2, 1, 1), 4, 3, 164, 1594624),
-                ((3, 1, 1, 1, 1), 4, 3, 263, 1913056), ((2, 2, 2, 1), 4, 3, 1169, 1802248),
-                ((2, 2, 1, 1, 1), 4, 3, 927, 3237952), ((2, 1, 1, 1, 1, 1), 4, 3, 819, 6314512),
-                ((1,) * 7, 4, 3, 1219, 12582904), ((4, 1, 1), 3, 3, 161, 40000),
+                ((3, 1, 1, 1, 1), 4, 3, 83, 1913056), ((2, 2, 2, 1), 4, 3, 1169, 1802248),
+                ((2, 2, 1, 1, 1), 4, 3, 169, 3237952), ((2, 1, 1, 1, 1, 1), 4, 3, 80, 6314512),
+                ((1,) * 7, 4, 3, 40, 12582904), ((4, 1, 1), 3, 3, 161, 40000),
                 ((3, 2, 1), 3, 3, 83, 253696), ((3, 1, 1, 1), 3, 3, 176, 252544),
                 ((2, 2, 2), 3, 3, 309, 406528), ((2, 2, 1, 1), 3, 3, 491, 471184),
                 ((2, 1, 1, 1, 1), 3, 3, 997, 601216), ((1,) * 6, 3, 3, 7863, 843904)]
@@ -150,7 +152,7 @@ class TestCensus:
                for parts, k, s, _, _ in rows]
         assert all(res.method == "census" for res in got)
         assert [(res.nodes_visited, res.value) for res in got] == [row[3:] for row in rows]
-        assert sum(res.nodes_visited for res in got) == 14_721
+        assert sum(res.nodes_visited for res in got) == 11_865
         # under auto, K7 at (4, 3) takes the few-colors route, K6 at (3, 3) the
         # Gallai route and every other row the census
         auto = [count_colorings(complete_multipartite(parts), k, s, 4)
@@ -182,7 +184,7 @@ def _layers_run(monkeypatch, room=None):
 class TestPlan:
     @pytest.mark.parametrize("parts, k, s, t_max, built", [
         ((1,) * 6, 3, 3, 15, [5, 15]),       # the lexicographic order drops at layer 4
-        ((1,) * 7, 4, 3, 16, [21, 10]),      # the clique order drops at layer 9
+        ((1,) * 7, 4, 3, 16, [21]),          # one maximal clique: every order is the same
         ((2, 2, 2, 1), 4, 3, 16, [6, 14, 18]),
         ((3, 1, 1, 1, 1), 4, 4, 16, [7, 7, 18])])
     def test_racer_builds_only_the_steps_it_ran(self, monkeypatch, parts, k, s, t_max, built):
@@ -296,7 +298,8 @@ class TestWalkOracle:
         # a frontier of more states than the bound allows, two under a bound
         # of one byte, stops the census as its node budget does
         monkeypatch.setattr(census, "_FRONTIER_BYTES", 1)
-        for g, k, s, t_max in ((K5, 4, 3, 10), (K5, 3, 3, 6), (K4, 4, 4, 6),
+        for g, k, s, t_max in ((complete_multipartite([2, 2, 2, 1]), 4, 3, 10),
+                               (K5, 3, 3, 6), (K4, 4, 4, 6),
                                (complete_multipartite([2, 2, 1]), 3, 2, 8),
                                (complete_multipartite([3, 1, 1, 1]), 4, 4, 5)):
             with pytest.raises(ResourceLimitError, match="census frontier of .* states at edge "
@@ -379,17 +382,23 @@ class TestAutoStrategy:
         assert res.value == count_brute(K4, 4, 3, 3).value
 
     def test_cliques_enumerated_once(self, monkeypatch):
+        # a count lists the cliques it caps once, by one enumerator: the
+        # maximal cliques at (4, 3), the k-cliques at (3, 3)
         calls = []
-        real = census.k_cliques
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
+        def counted(real):
+            def enumerate_once(*args, **kwargs):
+                calls.append(real.__name__)
+                return real(*args, **kwargs)
+            return enumerate_once
 
-        want = count_brute(K5, 4, 3, 3).value
-        monkeypatch.setattr(census, "k_cliques", counted)
-        assert count_colorings(K5, 4, 3, 3, method="census").value == want
-        assert len(calls) == 1
+        want = [count_brute(K5, k, 3, 3).value for k in (4, 3)]
+        for name in ("k_cliques", "maximal_cliques"):
+            monkeypatch.setattr(census, name, counted(getattr(census, name)))
+        for k, value, enumerator in zip((4, 3), want, ("maximal_cliques", "k_cliques")):
+            calls.clear()
+            assert count_colorings(K5, k, 3, 3, method="census").value == value
+            assert calls == [enumerator]
 
 
 
@@ -508,6 +517,59 @@ class TestFewColorsRoute:
         res = count_colorings(complete(64), 4, 3, 5)
         # one color on every edge, or two: C(5, 2) (2^m - 2) + 5
         assert (res.method, res.value) == ("few_colors", 10 * (2 ** comb(64, 2) - 2) + 5)
+
+
+#: (k, s) cells with k >= max(3, 2s - 2), where the census caps maximal cliques
+_MAXIMAL_CELLS = ((3, 2), (4, 2), (5, 2), (4, 3), (5, 3), (6, 3), (6, 4), (7, 4))
+
+
+class TestMaximalCliqueCensus:
+    # at k >= max(3, 2s - 2) the census caps the maximal cliques of at least k
+    # vertices; the walk oracle and brute force still check every k-clique
+    def test_equals_the_k_clique_census_on_the_atlas(self):
+        pairs = 0
+        for g in atlas_graphs(7):
+            for k, s in _MAXIMAL_CELLS:
+                masks = [mask for _, mask in k_cliques(g, k)]
+                if masks:
+                    pairs += 1
+                    t_max = min(g.m, 8)
+                    assert build_census(g, k, s, t_max=t_max).coefficients == \
+                        build_census(g, k, s, t_max=t_max, masks=masks).coefficients, \
+                        (g.graph6, k, s)
+        assert pairs == 2029
+
+    def test_equals_brute(self):
+        for g in atlas_graphs(5):
+            for k, s in _MAXIMAL_CELLS:
+                if k_cliques(g, k):
+                    poly = build_census(g, k, s)
+                    for r in (s, s + 1):
+                        assert evaluate(poly, r).value == count_brute(g, k, s, r).value
+
+    def test_cells_outside_keep_the_k_cliques(self):
+        # at k = 2s - 3 a coloring may show s colors on a maximal clique and
+        # fewer on each of its k-cliques; TestFewColorsRoute checks K6 at
+        # (5, 4) and K8 at (7, 5), and these the cell (3, 3)
+        for g in (K5, complete_multipartite((2, 1, 1, 1, 1))):
+            assert count_colorings(g, 3, 3, 3, method="census").value == \
+                count_brute(g, 3, 3, 3).value
+
+    def test_fewer_states(self):
+        # two K6s sharing a K5 against their 25 K4s
+        g = complete_multipartite((2, 1, 1, 1, 1, 1))
+        masks = [mask for _, mask in k_cliques(g, 4)]
+        assert len(census._capped_masks(g, 4, 3)) == 2 and len(masks) == 25
+        assert build_census(g, 4, 3, masks=masks).nodes_visited == 819
+        assert build_census(g, 4, 3).nodes_visited == 80
+
+    def test_two_k9_sharing_a_k8(self):
+        # the K8 in two of the 5 colors and every other edge in those two, or
+        # the K8 in one color and each outer vertex's 8 edges in it and at
+        # most one more; the k-clique census stops on its frontier bound
+        res = count_colorings(complete_multipartite((2,) + (1,) * 8), 4, 3, 5)
+        assert (res.method, res.nodes_visited) == ("census", 164)
+        assert res.value == 10 * (2 ** 28 - 2) * 2 ** 16 + 5 * 1021 ** 2 == 175_921_864_345_645
 
 
 class TestCompareVsTuran:

@@ -28,6 +28,7 @@ CASES = {
     "table-s-range": "thresholds table --k 4..5 --s 3..6",
     "count-census": "count --complete 4 --k 4 --s 3 --r 3 --method census",
     "count-few-colors": "count --complete 10 --k 4 --s 3 --r 5",
+    "count-maximal-cliques": "count --parts 2,1,1,1,1,1,1,1,1 --k 4 --s 3 --r 5",
     "count-brute": "count --complete 4 --k 4 --s 3 --r 3 --method brute",
     "count-kfree": "count --turan 6 4 --k 4 --s 3 --r 7",
     "count-parts": "count --parts 2,2,1 --k 3 --s 2 --r 3",

@@ -6,8 +6,8 @@ import pytest
 
 from rtlab.errors import ContractViolationError, ResourceLimitError
 from rtlab.graphs import (MASK_BITS, Graph, GraphFormatError, complete,
-                          complete_multipartite, k_cliques, max_lpartite, parse_graph6,
-                          read_graph6_file, turan_graph, write_graph6)
+                          complete_multipartite, k_cliques, max_lpartite, maximal_cliques,
+                          parse_graph6, read_graph6_file, turan_graph, write_graph6)
 from rtlab.thresholds import turan_ex
 
 
@@ -26,6 +26,19 @@ def count_cliques_bruteforce(g: Graph, k: int) -> int:
         if all(has_edge(g, u, v) for u, v in combinations(sub, 2)):
             cnt += 1
     return cnt
+
+
+def maximal_cliques_bruteforce(g: Graph):
+    """Independent all-subsets test: the vertex sets that every member sees
+    whole and no outside vertex sees whole, sorted, with the pairs they span."""
+    sees = [g.adj[v] | 1 << v for v in range(g.n)]
+    out = []
+    for sub in range(1, 1 << g.n):
+        verts = [v for v in range(g.n) if sub >> v & 1]
+        if all(sees[v] & sub == sub for v in verts) and not any(
+                g.adj[v] & sub == sub for v in range(g.n) if not sub >> v & 1):
+            out.append((tuple(verts), list(combinations(verts, 2))))
+    return sorted(out)
 
 
 def all_graphs(n):
@@ -178,6 +191,39 @@ class TestCliques:
         with pytest.raises(ResourceLimitError, match="capped at"):
             k_cliques(complete(17), 3)
         assert k_cliques(turan_graph(20, 4), 4) == []   # 133 edges, but no K4
+
+
+class TestMaximalCliques:
+    def test_vs_bruteforce_on_every_graph_to_n6(self):
+        # the same cliques, in the same lexicographic order, with masks that
+        # hold exactly the edges each clique spans
+        for n in range(1, 7):
+            for g in all_graphs(n):
+                every = maximal_cliques_bruteforce(g)
+                for min_size in range(1, n + 2):
+                    got = maximal_cliques(g, min_size)
+                    assert [(verts, [g.edges[i] for i in range(g.m) if mask >> i & 1])
+                            for verts, mask in got] == \
+                        [clique for clique in every if len(clique[0]) >= min_size]
+
+    def test_examples(self):
+        g = complete_multipartite((2, 1, 1, 1, 1, 1))
+        assert [verts for verts, _ in maximal_cliques(g, 4)] == \
+            [(0, 2, 3, 4, 5, 6), (1, 2, 3, 4, 5, 6)]
+        assert len(k_cliques(g, 4)) == 25
+        assert maximal_cliques(g, 7) == []
+        assert maximal_cliques(complete(3), 5) == []
+
+    def test_mask_cap(self):
+        with pytest.raises(ResourceLimitError, match="capped at"):
+            maximal_cliques(complete(17), 3)
+        assert maximal_cliques(turan_graph(20, 4), 4) == []   # 133 edges, but no K4
+        with pytest.raises(ResourceLimitError, match="capped at"):
+            maximal_cliques(turan_graph(20, 4), 3)
+
+    def test_min_size_checked(self):
+        with pytest.raises(ContractViolationError, match="min_size >= 1"):
+            maximal_cliques(complete(3), 0)
 
 
 class TestMaxLPartite:
