@@ -228,14 +228,13 @@ class _Plan:
       keep   every bit of each slot whose clique is still open at depth e + 1;
       short  (marks, j): marks the cliques open at depth e + 1 with s - j
              remaining edges, which are dropped unless they hold j labels;
-      reads  the shifts of the slots the pair rule reads;
-      pairs  (x, ys) for open cliques x, as indices into reads, with ys the
-             open cliques y != x, one of x and y in hit, whose remaining
-             edges include x's;
+      pairs  (x, ys) for open cliques x, as slot shifts, with ys the open
+             cliques y != x, one of x and y in hit, whose remaining edges
+             include x's;
       swaps  a compare-exchange network, as pairs of slot shifts, that sorts
              the fields of each group of open cliques with identical
              remaining edges.
-    reads, pairs and swaps are empty on the edges past the _PLAN_RULES loop
+    pairs and swaps are empty on the edges past the _PLAN_RULES loop
     steps, and every mask is empty on an edge that no open clique holds.
     """
 
@@ -267,7 +266,7 @@ class _Plan:
         for c in self.starts[e]:
             slot[c] = free.pop() if free else len(slot) + len(free)
         if not slot:
-            self.steps.append((0, 0, 0, (), (), (), ()))
+            self.steps.append((0, 0, 0, (), (), ()))
             return
         field = (1 << self.width) - 1
         hit = {c for c in slot if masks[c] >> e & 1}
@@ -285,18 +284,14 @@ class _Plan:
         touched = [(c, r) for c, r in every if c in hit]
         cost = (len(touched) * (2 * len(rem) - len(touched))   # iterations of the loops below
                 + sum(len(shifts) ** 2 for shifts in groups.values()) // 2)
-        reads, pairs, swaps = (), (), []
+        pairs, swaps = [], []
         if cost <= self.spare:
             self.spare -= cost
-            over = {}
             for x, rx in every:
-                ys = [y for y, ry in (every if x in hit else touched) if not rx & ~ry and x != y]
+                ys = [base[y] for y, ry in (every if x in hit else touched)
+                      if not rx & ~ry and x != y]
                 if ys:
-                    over[x] = ys
-            reads = sorted({base[c] for x, ys in over.items() for c in (x, *ys)})
-            index = {shift: i for i, shift in enumerate(reads)}
-            pairs = tuple((index[base[x]], tuple(index[base[y]] for y in ys))
-                          for x, ys in over.items())
+                    pairs.append((base[x], tuple(ys)))
             for shifts in groups.values():   # odd-even transposition sort
                 shifts.sort()
                 for rnd in range(len(shifts)):
@@ -305,7 +300,7 @@ class _Plan:
         self.steps.append((sum(1 << base[c] for c in hit),
                            sum(1 << base[c] for c in self.starts[e]),
                            sum(field << base[c] for c in rem),
-                           tuple(short), tuple(reads), pairs, tuple(swaps)))
+                           tuple(short), tuple(pairs), tuple(swaps)))
         for c in [c for c in slot if c not in rem]:   # cliques whose last edge is e
             free.append(slot.pop(c))
 
@@ -318,7 +313,7 @@ def _layer(plan: _Plan, frontier: dict, e: int, room: int) -> dict:
     the short drops, and moves from different states often reach the same
     one, so the layer remembers the canonical form of up to room of them.
     """
-    hit, born, keep, short, reads, pairs, swaps = plan.step(e)
+    hit, born, keep, short, pairs, swaps = plan.step(e)
     ones, t_max = plan.ones, plan.width
     nbits = t_max.bit_length()
     low = (1 << nbits) - 1
@@ -361,17 +356,14 @@ def _layer(plan: _Plan, frontier: dict, e: int, room: int) -> dict:
             child = recall(b)
             if child is None:
                 raw = b
-                if pairs:
-                    fields = [b >> x & field for x in reads]
-                    for x, ys in pairs:   # in order: a dropped clique no longer covers others
-                        a = fields[x]
-                        if a:
-                            for y in ys:
-                                c = fields[y]
-                                if c and not a & ~c:
-                                    fields[x] = 0
-                                    b ^= a << reads[x]
-                                    break
+                for x, ys in pairs:   # in order: a dropped clique no longer covers others
+                    a = b >> x & field
+                    if a:
+                        for y in ys:
+                            c = b >> y & field
+                            if c and not a & ~c:
+                                b ^= a << x
+                                break
                 held = sorted(filter(None, [b >> i & ones for i in range(u + (label == u))]))
                 b = sum(map(lshift, held, range(len(held))))
                 for sx, sy in swaps:
@@ -440,52 +432,43 @@ def _run(plans: list, node_budget: int) -> tuple[list[int], int]:
     """Coefficients a_0..a_{t_max} of the census, counted over the candidate
     plans, and the states expanded over every plan and layer, raising
     ResourceLimitError before that total would pass node_budget, or before
-    a layer whose frontier holds more than _FRONTIER_BYTES of keys.
+    a layer whose smallest frontier holds more than _FRONTIER_BYTES of keys.
 
-    The plans first race layer by layer in step.  After each layer a plan
-    drops out when its frontier holds more than _RACE_SPREAD times the states
-    of the smallest, or when it holds more states than the smallest and grew
-    over the layer by more than _RACE_SPREAD and by more than _RACE_GROWTH
-    times the smallest's growth: an order may trail early and win late (K7 in
-    the given order), but on the graphs measured none that outgrew the
-    smallest so went on to win.  The race stops when one plan is left, when
-    they finish, or when their frontiers together hold more than
-    _FRONTIER_BYTES of keys; the smallest frontier then wins, the earliest
-    plan on ties, and is counted to the end.  Each layer remembers canonical
-    forms in the room its frontiers leave under the bound.
+    One loop walks the layers, and the plans race through them in step; a
+    lone plan is a race of one.  After each layer a plan drops out when its
+    frontier holds more than _RACE_SPREAD times the states of the smallest,
+    or when it holds more states than the smallest and grew over the layer
+    by more than _RACE_SPREAD and by more than _RACE_GROWTH times the
+    smallest's growth: an order may trail early and win late (K7 in the
+    given order), but on the graphs measured none that outgrew the smallest
+    so went on to win.  Before a layer whose frontiers together pass the
+    bound, the race ends: the smallest frontier, the earliest plan on ties,
+    goes on alone, as it wins when the plans finish.  Each layer remembers
+    canonical forms in the room its frontiers leave under the bound.
     """
-    nodes = 0
-
-    def spend(states: int):   # before the work, so work past the budget is never done
-        nonlocal nodes
-        nodes += states
-        if nodes > node_budget:
-            raise ResourceLimitError(f"census node budget {node_budget} exceeded")
-
     racers = [(plan, 1, {0: 1}) for plan in plans]   # (plan, states before the layer, frontier)
-    m, depth = plans[0].m, 0
-    while len(racers) > 1 and depth < m:
-        headroom = 8 * _FRONTIER_BYTES - sum(len(fr) * plan.key_bits for plan, _, fr in racers)
-        if headroom < 0:
-            break
-        spend(sum(len(fr) for _, _, fr in racers))
-        racers = [(plan, len(fr), _layer(plan, fr, depth, headroom // plan.key_bits))
-                  for plan, _, fr in racers]
-        depth += 1
-        _, was, least = min(racers, key=lambda racer: len(racer[2]))
-        racers = [(plan, before, fr) for plan, before, fr in racers
-                  if len(fr) <= _RACE_SPREAD * len(least)
-                  and not (len(fr) > len(least) and len(fr) > _RACE_SPREAD * before
-                           and len(fr) * was > _RACE_GROWTH * len(least) * before)]
-    plan, _, frontier = min(racers, key=lambda racer: len(racer[2]))
-    del racers   # frees the losers' frontiers before the winner is counted
-    most = max(2, 8 * _FRONTIER_BYTES // plan.key_bits)
-    for e in range(depth, m):
-        if len(frontier) > most:
+    m, nodes, bits = plans[0].m, 0, 8 * _FRONTIER_BYTES
+    for e in range(m):
+        held = sum(len(fr) * plan.key_bits for plan, _, fr in racers)
+        if len(racers) > 1 and held > bits:
+            racers = [min(racers, key=lambda racer: len(racer[2]))]
+            held = len(racers[0][2]) * racers[0][0].key_bits
+        if held > bits:
+            plan, _, frontier = racers[0]
             raise ResourceLimitError(f"census frontier of {len(frontier)} states at edge {e} "
-                                     f"of {m} passes its bound of {most}")
-        spend(len(frontier))
-        frontier = _layer(plan, frontier, e, most - len(frontier))
+                                     f"of {m} passes its bound of {bits // plan.key_bits}")
+        nodes += sum(len(fr) for _, _, fr in racers)
+        if nodes > node_budget:   # before the work, so work past the budget is never done
+            raise ResourceLimitError(f"census node budget {node_budget} exceeded")
+        racers = [(plan, len(fr), _layer(plan, fr, e, (bits - held) // plan.key_bits))
+                  for plan, _, fr in racers]
+        if len(racers) > 1:
+            _, was, least = min(racers, key=lambda racer: len(racer[2]))
+            racers = [(plan, before, fr) for plan, before, fr in racers
+                      if len(fr) <= _RACE_SPREAD * len(least)
+                      and not (len(fr) > len(least) and len(fr) > _RACE_SPREAD * before
+                               and len(fr) * was > _RACE_GROWTH * len(least) * before)]
+    plan, _, frontier = min(racers, key=lambda racer: len(racer[2]))
     low = (1 << plan.width.bit_length()) - 1
     coeffs = [0] * (plan.width + 1)
     for key, w in frontier.items():
@@ -613,6 +596,11 @@ def _gallai_count(n: int, r: int) -> int:
 # shows at most s - 1 colors, so the census caps those cliques instead of the
 # k-cliques: fewer sets, overlapping less (K_{2,1,1,1,1,1} has 2 against 25).
 
+def _few_colors_regime(k: int, s: int) -> bool:
+    """Whether k >= max(3, 2s - 2), where both routes above hold."""
+    return k >= max(3, 2 * s - 2)
+
+
 def _few_color_count(m: int, s: int, r: int) -> int:
     """The r-colorings of m >= 1 edges with at most s - 1 colors, in O(s^2)
     big-integer steps."""
@@ -626,7 +614,7 @@ def _complete_count(n: int, k: int, s: int, r: int) -> tuple[int, str] | None:
     None.  The two routes do not overlap: k = 3 takes the second only at s = 2."""
     if (k, s) == (3, 3) and n >= 3:
         return _gallai_count(n, r), METHOD_GALLAI
-    if n >= k >= max(3, 2 * s - 2):
+    if n >= k and _few_colors_regime(k, s):
         return _few_color_count(comb(n, 2), s, r), METHOD_FEW_COLORS
     return None
 
@@ -635,7 +623,7 @@ def _capped_masks(g: Graph, k: int, s: int) -> list[int]:
     """The edge masks of the cliques the census caps at s - 1 colors: the
     maximal cliques of at least k vertices when k >= max(3, 2s - 2), else
     the k-cliques.  Either list is empty exactly when g has no k-clique."""
-    if k >= max(3, 2 * s - 2):
+    if _few_colors_regime(k, s):
         return [mask for _, mask in maximal_cliques(g, k)]
     return [mask for _, mask in k_cliques(g, k)]
 

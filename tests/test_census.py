@@ -122,7 +122,8 @@ class TestCensus:
 
     @pytest.mark.parametrize("parts, k, s, t_max, states", [
         ((1,) * 7, 4, 3, 16, 40), ((2, 2, 2, 1), 4, 4, 16, 10071),
-        ((1,) * 6, 4, 4, 15, 9308), ((3, 3, 1), 3, 3, 10, 321)])
+        ((1,) * 6, 4, 4, 15, 9308), ((3, 3, 1), 3, 3, 10, 321)],
+        ids=["K7-k4-s3", "K2221-k4-s4", "K6-k4-s4", "K331-k3-s3"])
     def test_states_expanded(self, monkeypatch, parts, k, s, t_max, states):
         # nodes_visited is printed; a change to the merge rules or the race
         # changes it, and must regenerate the outputs that show it.  The
@@ -199,7 +200,7 @@ class TestPlan:
         # a triangle with a path hung on it: no clique is open on the path
         g = Graph(6, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5)])
         plan = census._Plan([mask for _, mask in k_cliques(g, 3)], g.m, 3, 6)
-        assert [plan.step(e) == (0, 0, 0, (), (), (), ()) for e in range(g.m)] == \
+        assert [plan.step(e) == (0, 0, 0, (), (), ()) for e in range(g.m)] == \
             [False, False, False, True, True, True]
         assert plan.ones == 1
 
@@ -296,15 +297,44 @@ class TestWalkOracle:
 
     def test_frontier_over_its_bound_exits(self, monkeypatch):
         # a frontier of more states than the bound allows, two under a bound
-        # of one byte, stops the census as its node budget does
-        monkeypatch.setattr(census, "_FRONTIER_BYTES", 1)
+        # of two keys of the given order, stops the census as its node budget
+        # does, after the layers whose frontiers fit
         for g, k, s, t_max in ((complete_multipartite([2, 2, 2, 1]), 4, 3, 10),
                                (K5, 3, 3, 6), (K4, 4, 4, 6),
                                (complete_multipartite([2, 2, 1]), 3, 2, 8),
                                (complete_multipartite([3, 1, 1, 1]), 4, 4, 5)):
+            key_bits = census._Plan(census._capped_masks(g, k, s), g.m, s, t_max).key_bits
+            monkeypatch.setattr(census, "_FRONTIER_BYTES", (key_bits + 3) // 4)
+            runs = _layers_run(monkeypatch)
             with pytest.raises(ResourceLimitError, match="census frontier of .* states at edge "
                                                          ".* passes its bound of 2$"):
                 build_census(g, k, s, t_max=t_max, node_budget=10 ** 9)
+            assert runs
+
+    # K6 at (4, 4) races two orders of 234-bit keys.  Their frontiers hold at
+    # most 190,242 bits together before edges 0..7, and 1028 and 1164 states,
+    # 512,928 bits, before edge 8; the given order's, the smaller, then holds
+    # at most 1734 keys, 405,756 bits.  A bound of 56 KiB (458,752 bits) lies
+    # between the last two, and one of 24 KiB (196,608 bits) below 1028 keys
+    RACE_ENDS = (complete(6), 4, 4, 15)
+
+    def test_race_ends_under_the_bound(self, monkeypatch):
+        # a bound the racers pass together, but not the smallest frontier,
+        # ends the race before edge 8: the given order counts the rest alone
+        want = build_census(*self.RACE_ENDS)
+        monkeypatch.setattr(census, "_FRONTIER_BYTES", 56 << 10)
+        runs = _layers_run(monkeypatch)
+        poly = build_census(*self.RACE_ENDS)
+        assert poly.coefficients == want.coefficients
+        assert poly.nodes_visited == want.nodes_visited - 1164
+        assert [last for _, last, _ in runs.values()] == [14, 7]
+
+    def test_race_ends_over_the_bound(self, monkeypatch):
+        # a bound the smallest frontier passes alone at that edge stops the census
+        monkeypatch.setattr(census, "_FRONTIER_BYTES", 24 << 10)
+        with pytest.raises(ResourceLimitError, match="^census frontier of 1028 states at edge 8 "
+                                                     "of 15 passes its bound of 840$"):
+            build_census(*self.RACE_ENDS)
 
     def test_race_then_exits(self, monkeypatch):
         # the orders race through their first layers with room to remember
