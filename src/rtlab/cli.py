@@ -153,39 +153,30 @@ def _emit(out: _Output, cfg: dict) -> int:
 _CELL_COLUMNS = ("k", "s", "r0", "r1", "regime")
 
 
-def _md_grid(columns, rows) -> list[str]:
-    return (["| k\\s | " + " | ".join(map(str, columns)) + " |",
-             "|" + "---|" * (len(columns) + 1)]
-            + ["| " + " | ".join(row) + " |" for row in rows])
+def _md_grid(k_values, s_values, reports: dict, field: str) -> list[str]:
+    """The k-by-s grid of one report field with its marker, blank where
+    (k, s) is not a cell."""
+    def text(k, s):
+        rep = reports.get((k, s))
+        return "" if rep is None else f"{getattr(rep, field)}{rep.marker}"
+    return (["| k\\s | " + " | ".join(map(str, s_values)) + " |",
+             "|" + "---|" * (len(s_values) + 1)]
+            + ["| " + " | ".join([str(k)] + [text(k, s) for s in s_values]) + " |"
+               for k in k_values])
 
 
 def _threshold_table(args) -> _Output:
-    """The r0 and r1 grids (r1 from s = 3), CSV rows and JSON cells, in one
-    pass over the cells with 2 <= s <= C(k, 2)."""
-    if args.k[0] < 4:
-        raise ContractViolationError(
-            f"k = {args.k[0]} is outside formula scope; tables start at k = 4")
+    """The r0 grid, the r1 grid (from s = 3, if any s reaches it), CSV rows
+    and JSON cells of the cells the request reaches."""
     s_values = args.s or range(2, comb(args.k[-1], 2) + 1)
-    r0_rows, r1_rows, csv, cells = [], [], [_CELL_COLUMNS], []
-    for k in args.k:
-        r0_row, r1_row = [str(k)], [str(k)]
-        for s in s_values:
-            rep = thresholds.threshold_report(k, s) if 2 <= s <= comb(k, 2) else None
-            mark = "" if rep is None else rep.marker
-            r0_row.append("" if rep is None else f"{rep.r0}{mark}")
-            if s >= 3:
-                r1_row.append("" if rep is None else f"{rep.r1}{mark}")
-            if rep is not None:
-                cells.append({**rep.to_dict(), "marker": mark})
-                csv.append([cells[-1][c] for c in _CELL_COLUMNS])
-        r0_rows.append(r0_row)
-        r1_rows.append(r1_row)
-    if not cells:
-        raise ContractViolationError(
-            f"no k in [{args.k[0]}, {args.k[-1]}] has a cell of s in "
-            f"[{s_values[0]}, {s_values[-1]}] with 2 <= s <= C(k, 2)")
-    md = (_md_grid(s_values, r0_rows) + [""]
-          + _md_grid([s for s in s_values if s >= 3], r1_rows))
+    reports = {cell: thresholds.threshold_report(*cell)
+               for cell in thresholds.cells(args.k, s_values)}
+    cells = [{**rep.to_dict(), "marker": rep.marker} for rep in reports.values()]
+    csv = [_CELL_COLUMNS] + [[cell[c] for c in _CELL_COLUMNS] for cell in cells]
+    md = _md_grid(args.k, s_values, reports, "r0")
+    r1_columns = [s for s in s_values if s >= 3]
+    if r1_columns:
+        md += [""] + _md_grid(args.k, r1_columns, reports, "r1")
     return _Output("thresholds table", {"cells": cells}, md, csv)
 
 

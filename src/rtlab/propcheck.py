@@ -17,7 +17,7 @@ from math import comb
 from .errors import ContractViolationError, ResourceLimitError
 from .graphs import DEFAULT_PARTITION_BUDGET, Graph, complete_multipartite, k_cliques, \
     max_lpartite, turan_graph
-from .thresholds import threshold_report, turan_ex
+from .thresholds import cells, threshold_report, turan_ex
 
 DEFAULT_SEED = 20260809
 
@@ -318,22 +318,14 @@ def check_turan_bounds(k_values=(3, 4, 5, 6, 7, 8), n_max: int = 200) -> CheckRe
 # -- threshold gap census ----------------------------------------------------------------------
 
 def pairs_census(k_range=(4, 9), s_min: int = 3) -> list[tuple[int, int]]:
-    """All (k, s) with r0 = r1 + 1 for k in k_range and s >= s_min.  A range
-    with no cell of s <= C(k, 2) tests nothing, and is refused."""
+    """All (k, s) with r0 = r1 + 1 for k in k_range and s >= s_min, over the
+    cells thresholds.cells finds there."""
     if s_min < 3:
         raise ContractViolationError(f"r1 starts at s = 3, got s_min = {s_min}")
     lo, hi = k_range
-    if lo < 4:
-        raise ContractViolationError(f"k = {lo} is outside formula scope; pairs start at k = 4")
-    if comb(hi, 2) < s_min:
-        raise ContractViolationError(f"no k in [{lo}, {hi}] has C(k, 2) >= s_min = {s_min}")
-    out = []
-    for k in range(lo, hi + 1):
-        for s in range(s_min, comb(k, 2) + 1):
-            rep = threshold_report(k, s)
-            if rep.r0 == rep.r1 + 1:
-                out.append((k, s))
-    return out
+    reports = (threshold_report(k, s)
+               for k, s in cells(range(lo, hi + 1), range(s_min, comb(hi, 2) + 1)))
+    return [(rep.k, rep.s) for rep in reports if rep.r0 == rep.r1 + 1]
 
 
 def pairs_report(k_range=(4, 9), s_min: int = 3) -> dict:
@@ -359,28 +351,21 @@ def pairs_report(k_range=(4, 9), s_min: int = 3) -> dict:
 
 def find_k0(s: int, k_max: int = 30) -> CheckReport:
     """All k in [4, k_max] with r0(k, s) = s and r1(k, s) = s - 1, and the
-    least k from which the property holds through k_max.  A range with no
-    k of C(k, 2) >= s tests nothing, and is refused as a k_max over 40 is."""
+    least k from which the property holds through k_max, over the cells
+    thresholds.cells finds there.  A k_max over 40 is refused."""
     if s < 3:
         raise ContractViolationError(f"find_k0 needs s >= 3, got {s}")
     if k_max > 40:
         raise ContractViolationError(f"find_k0 capped at k_max = 40, got {k_max}")
-    tested = [k for k in range(4, k_max + 1) if comb(k, 2) >= s]
-    if not tested:
-        raise ContractViolationError(f"no k in [4, {k_max}] has C(k, 2) >= s = {s}")
-    report = CheckReport("threshold_equals_s")
-    qualifying = []
-    for k in tested:
-        report.instances_tested += 1
-        rep = threshold_report(k, s)
-        if rep.r0 == s and rep.r1 == s - 1:
-            qualifying.append(k)
+    reports = [threshold_report(k, s) for k, s in cells(range(4, k_max + 1), range(s, s + 1))]
+    holds = {rep.k: rep.r0 == s and rep.r1 == s - 1 for rep in reports}
+    report = CheckReport("threshold_equals_s", instances_tested=len(holds))
+    qualifying = [k for k, ok in holds.items() if ok]
     tail_start = None
-    for k in tested:
-        suffix = [x for x in tested if x >= k]
-        if all(x in qualifying for x in suffix):
-            tail_start = k
+    for k, ok in reversed(holds.items()):   # the tail, from k_max down
+        if not ok:
             break
+        tail_start = k
     report.notes.append(f"qualifying k: {qualifying}")
     report.notes.append(f"property holds for every tested k >= {tail_start}"
                         if tail_start is not None else "no qualifying tail up to k_max")

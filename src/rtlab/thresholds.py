@@ -69,6 +69,21 @@ def _check_ks(k: int, s: int) -> None:
         raise ContractViolationError(f"s must lie in [2, C(k,2)] = [2, {comb(k, 2)}], got {s}")
 
 
+def cells(k_values: range, s_values: range) -> list[tuple[int, int]]:
+    """Every cell (k, s) with k in k_values, s in s_values and
+    2 <= s <= C(k, 2), k-major.  A sweep that starts below k = 4 or holds
+    no cell is refused."""
+    if k_values.start < 4:
+        raise ContractViolationError(
+            f"k = {k_values.start} is outside formula scope; a sweep starts at k = 4")
+    out = [(k, s) for k in k_values for s in s_values if 2 <= s <= comb(k, 2)]
+    if not out:
+        raise ContractViolationError(
+            f"no k in [{k_values.start}, {k_values.stop - 1}] has C(k, 2) >= s for an "
+            f"s >= 2 in [{s_values.start}, {s_values.stop - 1}]")
+    return out
+
+
 def b_param(k: int, p: int, j: int) -> int:
     """Cap on the number of within-class edges a k-clique can pick up.
 

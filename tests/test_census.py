@@ -46,6 +46,20 @@ class TestBrute:
         with pytest.raises(ResourceLimitError):
             count_brute(K5, 4, 4, 10, coloring_budget=10 ** 6)
 
+    @pytest.mark.slow
+    @pytest.mark.parametrize("r", [64, 65, 100])
+    @pytest.mark.parametrize("s", [2, 3])
+    @pytest.mark.parametrize("g", [K3, Graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])],
+                             ids=["K3", "K3+pendant"])
+    def test_more_than_64_colors(self, g, s, r):
+        # past r = 64 a clique's colors are counted by sorting, not by a
+        # 64-bit mask; the triangle shows one color at s = 2 and at most two
+        # at s = 3, and a pendant edge takes any color
+        triangle = r if s == 2 else r ** 3 - r * (r - 1) * (r - 2)
+        brute = count_brute(g, 3, s, r).value
+        assert brute == count_colorings(g, 3, s, r, method="census").value
+        assert brute == triangle * r ** (g.m - 3)
+
     def test_result_provenance(self):
         res = count_brute(K3, 3, 2, 2)
         assert res.method == "brute"

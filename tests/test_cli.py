@@ -393,7 +393,8 @@ class TestLpAndPairs:
     @pytest.mark.parametrize("argv", [
         "pairs --k 3", "pairs --k 2", "pairs --k 1", "pairs --k 2..9",
         "pairs --k 4..5 --s-min 40",
-        "thresholds table --k 4..5 --s 50", "thresholds table --k 4 --s 1"])
+        "thresholds table --k 4..5 --s 50", "thresholds table --k 4 --s 1",
+        "findk0 --s 100 --k-max 10"])
     def test_request_with_no_cell_is_a_contract_error(self, capsys, argv):
         # a k below formula scope, or a range that reaches no cell, is refused
         # before any output

@@ -26,6 +26,7 @@ CASES = {
     "thresholds-s2": "thresholds --k 5 --s 2",
     "table": "thresholds table --k 4..6",
     "table-s-range": "thresholds table --k 4..5 --s 3..6",
+    "table-s2": "thresholds table --k 4..5 --s 2",
     "count-census": "count --complete 4 --k 4 --s 3 --r 3 --method census",
     "count-few-colors": "count --complete 10 --k 4 --s 3 --r 5",
     "count-maximal-cliques": "count --parts 2,1,1,1,1,1,1,1,1 --k 4 --s 3 --r 5",

@@ -1,5 +1,6 @@
 """Threshold formulas: Turan numbers, regimes, r0/r1, tables."""
 
+import itertools
 import json
 from fractions import Fraction as Fr
 from math import comb
@@ -288,6 +289,26 @@ class TestReportAndTables:
         assert cell["marker"] == th.ASTERISK and cell["r0"] == "222"
         # s = 2 has no r1 column entry
         assert "4,2,2,,LOW" in csv
+
+    @pytest.mark.parametrize("k_values,s_values", [
+        (range(4, 7), range(2, 16)),      # s runs past C(k, 2) for k = 4 and 5
+        (range(4, 10), range(10, 13)),    # k = 4 has no cell
+        (range(5, 6), range(-1, 4)),      # s below 2
+    ])
+    def test_cells(self, k_values, s_values):
+        want = [(k, s) for k, s in itertools.product(k_values, s_values)
+                if 2 <= s <= comb(k, 2)]
+        assert want and th.cells(k_values, s_values) == want
+
+    @pytest.mark.parametrize("k_values,s_values", [
+        (range(3, 6), range(2, 4)),       # starts below k = 4
+        (range(4, 6), range(11, 40)),     # s past C(k, 2) for every k
+        (range(4, 6), range(0, 2)),       # s below 2
+        (range(4, 3), range(3, 4)),       # no k at all
+    ])
+    def test_cells_refused(self, k_values, s_values):
+        with pytest.raises(ContractViolationError):
+            th.cells(k_values, s_values)
 
     def test_k3_row_rejected(self, capsys):
         assert cli.main(["thresholds", "table", "--k", "3..4"]) == cli.EXIT_CONTRACT

@@ -10,17 +10,20 @@ OLD_SRC and NEW_SRC are the ``src`` directories of two checkouts.  Every
 the two census-scan scans run whole as ``scan ... --threads 2 --format json``,
 ``thresholds table --k 15..30 --format json``, every ``lp`` cell with
 k <= 30 the benchmark leaves out (LOW k >= 9, MID_HIGH k >= 7),
-``pairs --k 4..9 --s-min 3 --format json`` and
-``findk0 --s S --k-max 30 --format json`` for S = 3..12, 4,944 ops in all,
+``pairs --k 4..9 --s-min S --format json`` for S = 3..6,
+``thresholds table --k 4..9 --s 3..12 --format json``,
+``findk0 --s S --k-max 30 --format json`` for S = 3..12, and the four
+requests that reach no cell and must exit 2 (``REFUSED``), 4,952 ops in all,
 runs through ``rtlab.cli.main`` once per tree, each tree in its own
 interpreter.
-The script prints the exit codes that changed and the operations whose
-stdout differs where both trees exited with the same code, each with the
-top-level keys of its JSON ``result`` and ``config`` that differ, and exits 1 when any stdout
-differs or any exit code changed.  On stderr it prints each tree's total
-seconds per command (``thresholds``, ``lp``, ``count``, ``scan``, ``pairs`` and
-``findk0``), so one
-run gives both the byte check and the before/after time.
+The script prints the exit codes that changed, the refused requests that
+did not exit 2, and the operations whose stdout differs where both trees
+exited with the same code, each with the top-level keys of its JSON
+``result`` and ``config`` that differ.  It exits 1 when any stdout differs,
+any exit code changed or a refused request did not exit 2.  On stderr it
+prints each tree's total seconds per command (``thresholds``, ``lp``,
+``count``, ``scan``, ``pairs`` and ``findk0``), so one run gives both the
+byte check and the before/after time.
 
 Each ``--drop-key KEY`` removes a key before hashing, so outputs can be
 compared apart from fields one tree adds, drops or changes on purpose: a
@@ -44,6 +47,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("thresholds-grid", "lp-certify", "census-scan")
 K_MAX = 30      # the extra ops below cover thresholds and lp up to this k
+REFUSED = ("pairs --k 3", "pairs --k 4..5 --s-min 40", "thresholds table --k 4..5 --s 50",
+           "findk0 --s 100 --k-max 10")   # requests that reach no cell: exit 2
 
 
 SECTIONS = ("result", "config")   # the parts of a JSON document whose keys are named
@@ -90,10 +95,15 @@ def dump(src: str, drop: list[str]) -> dict:
              ["lp", "--k", str(k), "--s", str(s), "--variant", "mid-high", "--format", "json"])
             for k in range(workloads.LP_MID_HIGH_K.stop, K_MAX + 1)
             for s in range(workloads.s0(k) + 1, k * (k - 1) // 2 + 1)]
-    ops += [("pairs:4..9:3", "cli", ["pairs", "--k", "4..9", "--s-min", "3", "--format", "json"])]
+    ops += [(f"pairs:4..9:{s}", "cli",
+             ["pairs", "--k", "4..9", "--s-min", str(s), "--format", "json"])
+            for s in range(3, 7)]
+    ops += [("table:4..9:3..12", "cli",
+             ["thresholds", "table", "--k", "4..9", "--s", "3..12", "--format", "json"])]
     ops += [(f"findk0:{s}:{K_MAX}", "cli",
              ["findk0", "--s", str(s), "--k-max", str(K_MAX), "--format", "json"])
             for s in range(3, 13)]
+    ops += [(f"refused:{req}", "cli", req.split() + ["--format", "json"]) for req in REFUSED]
     out, seconds = {}, defaultdict(float)
     for op_id, _, argv in ops:
         buf = io.StringIO()
@@ -141,15 +151,18 @@ def main() -> int:
     differ = sorted(k for k in old if old[k][0] == new[k][0] and old[k][1] != new[k][1])
     both_ok = sum(old[k][0] == new[k][0] == 0 for k in old)
     same_other = sum(old[k][0] == new[k][0] != 0 for k in old)
+    not_refused = [k for k in old if k.startswith("refused:") and (old[k][0], new[k][0]) != (2, 2)]
     for (a, b), n in sorted(changed_rc.items()):
         print(f"exit {a} -> {b}: {n} ops")
+    for k in not_refused:
+        print(f"  not refused: {k}: exit {old[k][0]} -> {new[k][0]}, not 2")
     print(f"{both_ok} ops exit 0 in both trees, {same_other} exit with the same other code; "
           f"stdout differs in {len(differ)}")
     for k in differ:
         a, b = old[k][2], new[k][2]
         keys = sorted(key for key in a.keys() | b.keys() if a.get(key) != b.get(key))
         print(f"  differs: {k}: {', '.join(keys) or 'outside result and config'}")
-    return 1 if differ or changed_rc else 0
+    return 1 if differ or changed_rc or not_refused else 0
 
 
 if __name__ == "__main__":
