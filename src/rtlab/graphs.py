@@ -2,8 +2,9 @@
 
 Graphs live on vertices 0..n-1 with n <= 64, adjacency held as per-vertex
 bitsets (Python ints) and an indexed edge list in lexicographic order.
-Cliques are listed two ways, every clique of k vertices (k_cliques) or the
-maximal cliques of at least a given size (maximal_cliques), and their edge
+Cliques come from one walk over vertex bitsets (clique_walk), which lists
+every clique of k vertices (k_cliques), and from a Bron-Kerbosch search for
+the maximal cliques of at least a given size (maximal_cliques); their edge
 masks index that list.  The census may count in another edge order, but its
 results, and the cache entries keyed by graph6, do not depend on the order.
 """
@@ -199,6 +200,37 @@ def turan_graph(n: int, k: int) -> Graph:
 
 # -- cliques --------------------------------------------------------------------
 
+def clique_walk(adj, cand: int, size: int):
+    """Yield the vertex bitset of every size-vertex clique inside the vertex
+    bitset cand, in lexicographic order; adj[v] is v's neighbour bitset."""
+    if size == 0:
+        yield 0
+        return
+    while cand:
+        low = cand & -cand
+        cand ^= low
+        if cand.bit_count() + 1 < size:   # too few vertices left to finish
+            return
+        for rest in clique_walk(adj, cand & adj[low.bit_length() - 1], size - 1):
+            yield rest | low
+
+
+def _clique_record(g: Graph, clique: int):
+    """(vertex tuple, edge-index bitmask) of a clique given as a vertex
+    bitset.  A graph of more than MASK_BITS edges is refused here, so at the
+    first clique a lister finds."""
+    if g.m > MASK_BITS:
+        raise ResourceLimitError(f"graph has {g.m} edges; clique edge masks capped at {MASK_BITS}")
+    index, verts, mask = g._index, [], 0
+    while clique:
+        v = (clique & -clique).bit_length() - 1
+        clique &= clique - 1
+        for u in verts:
+            mask |= 1 << index[u, v]
+        verts.append(v)
+    return tuple(verts), mask
+
+
 def k_cliques(g: Graph, k: int):
     """All k-vertex cliques as (vertex tuple, edge-index bitmask), lex order.
 
@@ -208,34 +240,7 @@ def k_cliques(g: Graph, k: int):
     """
     if k < 2:
         raise ContractViolationError(f"k_cliques needs k >= 2, got {k}")
-    if k > g.n:
-        return []
-    adj = g.adj
-    out = []
-    clique = []
-
-    def extend(cand: int, emask: int):
-        if len(clique) == k:
-            if g.m > MASK_BITS:
-                raise ResourceLimitError(
-                    f"graph has {g.m} edges; clique edge masks capped at {MASK_BITS}")
-            out.append((tuple(clique), emask))
-            return
-        # not enough vertices left to finish the clique
-        while cand:
-            v = (cand & -cand).bit_length() - 1
-            cand &= cand - 1
-            if len(clique) + 1 + cand.bit_count() < k:
-                break
-            add = emask
-            for u in clique:
-                add |= 1 << g.edge_index(u, v)
-            clique.append(v)
-            extend(cand & adj[v], add)
-            clique.pop()
-
-    extend((1 << g.n) - 1, 0)
-    return out
+    return [_clique_record(g, clique) for clique in clique_walk(g.adj, (1 << g.n) - 1, k)]
 
 
 def maximal_cliques(g: Graph, min_size: int):
@@ -265,10 +270,7 @@ def maximal_cliques(g: Graph, min_size: int):
             return
         if not cand:
             if not done:
-                if g.m > MASK_BITS:
-                    raise ResourceLimitError(
-                        f"graph has {g.m} edges; clique edge masks capped at {MASK_BITS}")
-                found.append(clique)
+                found.append(_clique_record(g, clique))
             return
         pivot, most, rest = 0, -1, cand | done
         while rest:
@@ -286,13 +288,8 @@ def maximal_cliques(g: Graph, min_size: int):
             done |= 1 << v
 
     expand(0, 0, start, 0)
-    out = []
-    for clique in found:
-        verts = [v for v in range(g.n) if clique >> v & 1]
-        out.append((tuple(verts), sum(1 << g.edge_index(u, v)
-                                      for i, v in enumerate(verts) for u in verts[:i])))
-    out.sort()
-    return out
+    found.sort()
+    return found
 
 
 # -- exact maximum l-partite subgraph ----------------------------------------------

@@ -15,8 +15,8 @@ from fractions import Fraction
 from math import comb
 
 from .errors import ContractViolationError, ResourceLimitError
-from .graphs import DEFAULT_PARTITION_BUDGET, Graph, complete_multipartite, k_cliques, \
-    max_lpartite, turan_graph
+from .graphs import DEFAULT_PARTITION_BUDGET, Graph, clique_walk, complete_multipartite, \
+    k_cliques, max_lpartite, turan_graph
 from .thresholds import cells, threshold_report, turan_ex
 
 DEFAULT_SEED = 20260809
@@ -138,26 +138,9 @@ def _greedy_kfree(rng: random.Random, n: int, k: int) -> Graph:
     adj = [0] * n
     kept = []
 
-    def creates_clique(u, v):
-        # a new k-clique through (u,v) is a (k-2)-clique in N(u) & N(v)
-        cand = adj[u] & adj[v]
-
-        def grow(c, need):
-            if need == 0:
-                return True
-            while c:
-                w = (c & -c).bit_length() - 1
-                c &= c - 1
-                if c.bit_count() + 1 < need:
-                    return False
-                if grow(c & adj[w], need - 1):
-                    return True
-            return False
-
-        return grow(cand, k - 2)
-
     for u, v in pairs:
-        if not creates_clique(u, v):
+        # a new k-clique through (u, v) is a (k-2)-clique in N(u) & N(v)
+        if next(clique_walk(adj, adj[u] & adj[v], k - 2), None) is None:
             kept.append((u, v))
             adj[u] |= 1 << v
             adj[v] |= 1 << u

@@ -27,11 +27,6 @@ class Regime(str, Enum):
     HIGH = "HIGH"
 
 
-#: r0 values for k = 3 come from earlier work on triangle colorings; the
-#: closed forms below require k >= 4, so these are shipped as constants.
-PRIOR_WORK_R0_K3 = {(3, 2): 2, (3, 3): 4}
-
-
 def turan_ex(n: int, k: int) -> int:
     """Edge count of the balanced complete (k-1)-partite graph on n vertices.
 
@@ -63,8 +58,8 @@ def s1(k: int) -> int:
 def _check_ks(k: int, s: int) -> None:
     if k < 4:
         raise ContractViolationError(
-            f"k = {k} is outside formula scope (k >= 4); for k = 3 the known "
-            f"values are shipped as prior-work constants")
+            f"k = {k} is outside formula scope (k >= 4); the k = 3 values are "
+            f"prior-work results on triangle colorings, not computed here")
     if not 2 <= s <= comb(k, 2):
         raise ContractViolationError(f"s must lie in [2, C(k,2)] = [2, {comb(k, 2)}], got {s}")
 

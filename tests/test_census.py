@@ -14,9 +14,10 @@ from rtlab.census import CensusCache, build_census, count_brute, count_colorings
 from rtlab.errors import ContractViolationError, ResourceLimitError
 from rtlab.graphs import Graph, complete, complete_multipartite, k_cliques, turan_graph
 from rtlab.propcheck import atlas_graphs
-from rtlab.thresholds import PRIOR_WORK_R0_K3, turan_ex
+from rtlab.thresholds import turan_ex
 
 from census_walk_oracle import walk_census
+from prior_work import PRIOR_WORK_R0_K3
 
 
 def stirling2(n, k):

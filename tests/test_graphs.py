@@ -1,5 +1,6 @@
 """Graph container, graph6 codec, generators, cliques, exact partitions."""
 
+import time
 from itertools import combinations
 
 import pytest
@@ -191,6 +192,17 @@ class TestCliques:
         with pytest.raises(ResourceLimitError, match="capped at"):
             k_cliques(complete(17), 3)
         assert k_cliques(turan_graph(20, 4), 4) == []   # 133 edges, but no K4
+
+    @pytest.mark.parametrize("lister", (k_cliques, maximal_cliques))
+    def test_mask_cap_at_first_clique(self, lister):
+        # 1,792 edges and 8^8 K8s, all maximal: refused at the first one, in
+        # milliseconds; a search that listed them all first takes about 20 s
+        g = turan_graph(64, 9)
+        assert g.m == 1792
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match="capped at 128"):
+            lister(g, 8)
+        assert time.perf_counter() - start < 2
 
 
 class TestMaximalCliques:

@@ -1,10 +1,14 @@
 """Property checkers: partition bound, stability, balance, entropy, censuses."""
 
+import random
+
 import pytest
 
 from rtlab.errors import ContractViolationError
 from rtlab.graphs import Graph, complete, complete_multipartite, turan_graph
 from rtlab import propcheck as pc
+
+from test_graphs import count_cliques_bruteforce
 
 
 C5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
@@ -49,6 +53,17 @@ class TestFuredi:
     def test_suite(self):
         rep = pc.furedi_suite(instances=30, seed=42)
         assert rep.passed and rep.instances_tested == 30
+
+    @pytest.mark.parametrize("k", (3, 4, 5))
+    def test_greedy_kfree_is_maximal(self, k):
+        # no k-clique, and every missing pair would close one
+        for n in range(6, 13):
+            for seed in range(3):
+                g = pc._greedy_kfree(random.Random(seed), n, k)
+                assert count_cliques_bruteforce(g, k) == 0
+                for pair in ((u, v) for v in range(n) for u in range(v)):
+                    if pair not in g.edges:
+                        assert count_cliques_bruteforce(Graph(n, g.edges + (pair,)), k) > 0
 
 
 class TestPartSizes:

@@ -14,6 +14,8 @@ from rtlab import lpverify as lpv
 from rtlab import thresholds as th
 from rtlab.thresholds import Regime
 
+from prior_work import PRIOR_WORK_R0_K3
+
 
 class TestTuranEx:
     def test_examples(self):
@@ -116,9 +118,10 @@ class TestR0:
             assert th.threshold_report(k, 2).r0 == 2
 
     def test_k3_rejected(self):
-        with pytest.raises(ContractViolationError):
-            th.threshold_report(3, 2)
-        assert th.PRIOR_WORK_R0_K3 == {(3, 2): 2, (3, 3): 4}
+        # the prior-work cells lie outside the closed forms' scope
+        for k, s in PRIOR_WORK_R0_K3:
+            with pytest.raises(ContractViolationError, match="prior-work"):
+                th.threshold_report(k, s)
 
     def test_low_base_structure(self):
         base, params = th.r0_base(5, 4)

@@ -12,8 +12,9 @@ the two census-scan scans run whole as ``scan ... --threads 2 --format json``,
 k <= 30 the benchmark leaves out (LOW k >= 9, MID_HIGH k >= 7),
 ``pairs --k 4..9 --s-min S --format json`` for S = 3..6,
 ``thresholds table --k 4..9 --s 3..12 --format json``,
-``findk0 --s S --k-max 30 --format json`` for S = 3..12, and the four
-requests that reach no cell and must exit 2 (``REFUSED``), 4,952 ops in all,
+``findk0 --s S --k-max 30 --format json`` for S = 3..12,
+``props --check furedi --instances 300 --format json``, and the four
+requests that reach no cell and must exit 2 (``REFUSED``), 4,953 ops in all,
 runs through ``rtlab.cli.main`` once per tree, each tree in its own
 interpreter.
 The script prints the exit codes that changed, the refused requests that
@@ -22,8 +23,8 @@ exited with the same code, each with the top-level keys of its JSON
 ``result`` and ``config`` that differ.  It exits 1 when any stdout differs,
 any exit code changed or a refused request did not exit 2.  On stderr it
 prints each tree's total seconds per command (``thresholds``, ``lp``,
-``count``, ``scan``, ``pairs`` and ``findk0``), so one run gives both the
-byte check and the before/after time.
+``count``, ``scan``, ``pairs``, ``findk0`` and ``props``), so one run gives
+both the byte check and the before/after time.
 
 Each ``--drop-key KEY`` removes a key before hashing, so outputs can be
 compared apart from fields one tree adds, drops or changes on purpose: a
@@ -103,6 +104,8 @@ def dump(src: str, drop: list[str]) -> dict:
     ops += [(f"findk0:{s}:{K_MAX}", "cli",
              ["findk0", "--s", str(s), "--k-max", str(K_MAX), "--format", "json"])
             for s in range(3, 13)]
+    ops += [("props:furedi:300", "cli",
+             ["props", "--check", "furedi", "--instances", "300", "--format", "json"])]
     ops += [(f"refused:{req}", "cli", req.split() + ["--format", "json"]) for req in REFUSED]
     out, seconds = {}, defaultdict(float)
     for op_id, _, argv in ops:
